@@ -2,10 +2,9 @@
 entanglement and unconstrained classical communication.
 
 Closed-form bounds are evaluated in exact rational arithmetic; the
-asymmetric case is solved numerically by projected gradient ascent on the
-ellipsoid surface that the cloning constraint carves out of [0, 1]^N.
-Restarts draw from deterministically split seed streams, so results are
-reproducible and independent of evaluation order.
+asymmetric case maximises a weighted sum of squares on the ellipsoid
+surface that the fidelity constraint carves out of [0, 1]^N, which is
+solved exactly as the top eigenpair of an N x N symmetric matrix.
 """
 
 from __future__ import annotations
@@ -130,163 +129,60 @@ def asym_closed_form_n2(p: float, d: int) -> float:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    return 0.5 * (1 + np.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2))
+    return float(0.5 * (1 + np.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2)))
 
 
 @dataclass(frozen=True)
 class AsymOptimum:
     value: float
     point: tuple[float, ...]
-    restarts: int
     details: dict = field(default_factory=dict)
 
 
-def _constraint_matrix(n: int, d: int) -> tuple[np.ndarray, float]:
-    q = np.eye(n) - np.ones((n, n)) / (n + d - 1)
-    return q, (d - 1) / d
-
-
-def _to_surface(x: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
-    quad = float(x @ q @ x)
-    if quad <= 0:
-        raise ValueError("cannot project the zero direction onto the surface")
-    return x * np.sqrt(c / quad)
-
-
-def _push_to_box_surface(y: np.ndarray, q: np.ndarray, c: float) -> np.ndarray | None:
-    """Return a point on the surface inside [0,1]^N near y, or None."""
-    y = np.clip(y, 0.0, 1.0)
-    for _ in range(16):
-        quad = float(y @ q @ y)
-        if abs(quad - c) < 1e-14:
-            return y
-        if quad > c:
-            y = _to_surface(y, q, c)
-            if y.max() <= 1 + 1e-12:
-                return np.clip(y, 0.0, 1.0)
-            y = np.clip(y, 0.0, 1.0)
-            continue
-        # below the surface with some coordinates clamped: scale the free ones up
-        free = y < 1 - 1e-12
-        if not free.any():
-            return None
-        lo, hi = 1.0, 2.0
-        z = y.copy()
-        for _ in range(60):
-            z[free] = np.minimum(y[free] * hi, 1.0)
-            if float(z @ q @ z) >= c or hi > 1e9:
-                break
-            hi *= 2.0
-        if float(z @ q @ z) < c:
-            return None
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            z = y.copy()
-            z[free] = np.minimum(y[free] * mid, 1.0)
-            if float(z @ q @ z) < c:
-                lo = mid
-            else:
-                hi = mid
-        z = y.copy()
-        z[free] = np.minimum(y[free] * hi, 1.0)
-        return np.clip(z, 0.0, 1.0)
-    return np.clip(y, 0.0, 1.0)
-
-
-def asym_optimize(
-    spec: AsymSpec,
-    restarts: int = 64,
-    seed: int = 0,
-    max_iterations: int = 2000,
-    tol: float = 1e-10,
-) -> AsymOptimum:
+def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     """Maximise sum p_i x_i^2 over x in [0,1]^N on the constraint surface.
 
-    Gradient ascent restricted to the ellipsoid x^T Q x = c with
-    Q = 1 - J/(N+d-1), c = (d-1)/d: the gradient is projected onto the
-    tangent space, the step is retracted radially back onto the surface, and
-    coordinates at the box bounds have outward gradient components dropped.
-    Restarts start from seeded uniform-random feasible points; ties resolve
-    to the larger value, so the result is deterministic for a fixed seed.
+    The surface is x^T Q x = c with Q = 1 - J/(N+d-1), c = (d-1)/d.  Q is
+    positive definite with Q^-1 = 1 + J/(d-1) (Sherman-Morrison), so the
+    stationarity condition P x = mu Q x is the symmetric eigenproblem
+    S y = mu y with u = sqrt(p), S = diag(p) + u u^T/(d-1) and
+    x = Q^-1 (u * y).  The optimum is c * lambda_max(S), attained at the top
+    eigenvector rescaled onto the surface.  Q^-1 P is entrywise nonnegative,
+    so by Perron-Frobenius the maximiser can be taken nonnegative; if it
+    still leaves the unit box the bound is not attained there and a
+    ValueError is raised.
     """
     n, d = spec.n, spec.d
     if n > 8:
         raise ValueError("optimizer supports up to 8 receivers")
     p = np.asarray(spec.probabilities)
-    q, c = _constraint_matrix(n, d)
-    diagonal = _to_surface(np.ones(n), q, c)
-    if diagonal.max() > 1 + 1e-12:
-        raise ValueError("constraint surface does not intersect the unit box")
-
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best_val = -np.inf
-    best_x = diagonal
-    for seq in seeds:
-        rng = np.random.Generator(np.random.PCG64(seq))
-        start = _push_to_box_surface(_to_surface(rng.uniform(0.05, 1.0, n), q, c), q, c)
-        x = start if start is not None else diagonal.copy()
-        step = 0.1
-        for _ in range(max_iterations):
-            grad = 2 * p * x
-            normal = q @ x
-            normal /= np.linalg.norm(normal)
-            tangent = grad - (grad @ normal) * normal
-            tangent[(x >= 1 - 1e-12) & (tangent > 0)] = 0.0
-            tangent[(x <= 1e-12) & (tangent < 0)] = 0.0
-            if np.linalg.norm(tangent) < tol:
-                break
-            candidate = _push_to_box_surface(x + step * tangent, q, c)
-            if candidate is not None and float(p @ candidate**2) > float(p @ x**2):
-                x = candidate
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-        val = float(p @ x**2)
-        if val > best_val:
-            best_val, best_x = val, x
+    u = np.sqrt(p)
+    c = (d - 1) / d
+    eigenvalues, eigenvectors = np.linalg.eigh(np.diag(p) + np.outer(u, u) / (d - 1))
+    lam, y = float(eigenvalues[-1]), eigenvectors[:, -1]
+    z = u * y
+    x = z + z.sum() / (d - 1)
+    if x.sum() < 0:
+        x = -x
+    q = np.eye(n) - np.ones((n, n)) / (n + d - 1)
+    x *= np.sqrt(c / float(x @ q @ x))
+    if x.min() < -1e-12 or x.max() > 1 + 1e-12:
+        raise ValueError(f"maximiser {x.tolist()} leaves the unit box")
     return AsymOptimum(
-        value=best_val,
-        point=tuple(float(v) for v in best_x),
-        restarts=restarts,
-        details={"d": d, "n": n, "seed": seed},
+        value=c * lam,
+        point=tuple(float(v) for v in x),
+        details={"d": d, "n": n, "surface_residual": abs(float(x @ q @ x) - c)},
     )
 
 
-def fully_entangled_fraction(rho: DensityMatrix, seed: int = 0) -> float:
-    """Maximal overlap of rho with a maximally entangled state.
-
-    For two qubits this is the largest eigenvalue of the real part of rho in
-    the magic basis, which is exact.  For d >= 3 a seeded ascent over local
-    unitaries returns a lower estimate (each sweep solves the Procrustes
-    alignment of the current unitary, which never decreases the overlap).
-    """
+def fully_entangled_fraction(rho: DensityMatrix) -> float:
+    """Maximal overlap of a two-qubit state with a maximally entangled state:
+    the largest eigenvalue of the real part of rho in the magic basis."""
     m = rho.matrix
-    d = int(round(np.sqrt(m.shape[0])))
-    if d * d != m.shape[0] or d < 2:
-        raise ValueError(f"dimension {m.shape[0]} is not d*d with d >= 2")
-    if d == 2:
-        magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS
-        return float(np.linalg.eigvalsh(magic.real)[-1])
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(16):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u, _ = np.linalg.qr(z)
-        prev = -1.0
-        for _ in range(500):
-            vec = u.reshape(-1)
-            aligned = (m @ vec).reshape(d, d)
-            w, _, vh = np.linalg.svd(aligned)
-            u = w @ vh
-            vec = u.reshape(-1)
-            cur = float(np.real(np.vdot(vec, m @ vec)) / d)
-            done = cur - prev < 1e-14
-            prev = cur
-            if done:
-                break
-        best = max(best, prev)
-    return best
+    if m.shape != (4, 4):
+        raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[0]}")
+    magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS
+    return float(np.linalg.eigvalsh(magic.real)[-1])
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def _csv_from_rows(headers: list[str], rows: list[list]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
@@ -169,8 +169,8 @@ def cmd_bounds(args) -> int:
         text = f"{result.label} = {_fraction_str(fr)} = {_fmt(float(fr))}\n"
     else:
         spec = bounds.AsymSpec(d=args.d, probabilities=tuple(args.p))
-        optimum = bounds.asym_optimize(spec, restarts=args.restarts, seed=args.seed)
-        details = {"point": list(optimum.point), "restarts": optimum.restarts}
+        optimum = bounds.asym_optimize(spec)
+        details = {"point": list(optimum.point)}
         if spec.n == 2:
             closed = bounds.asym_closed_form_n2(spec.probabilities[0], args.d)
             details["closed_form"] = closed
@@ -340,13 +340,13 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
         _dump_json({"symmetric_grid": grid, "werner_1_2_2": _fraction_str(werner)}),
     )
 
-    # optimizer versus closed form
+    # exact asymmetric bound versus the two-receiver closed form
     asym_rows = []
     for d in (2, 3):
         for i in range(11):
             p = i / 10
             spec = bounds.AsymSpec(d=d, probabilities=(p, 1 - p))
-            optimum = bounds.asym_optimize(spec, restarts=16, seed=seed)
+            optimum = bounds.asym_optimize(spec)
             closed = bounds.asym_closed_form_n2(p, d)
             asym_rows.append([d, p, optimum.value, closed])
             checks.append(_check(f"asym_opt(d={d},p={p:.1f})", optimum.value, closed, 1e-6))
@@ -446,11 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--N", type=int, required=True)
     add_common(p_s)
     p_s.set_defaults(func=cmd_bounds)
-    p_a = sub_b.add_parser("asym", help="asymmetric bound by constrained ascent")
+    p_a = sub_b.add_parser("asym", help="asymmetric bound by an exact eigenproblem")
     p_a.add_argument("--d", type=int, required=True)
     p_a.add_argument("--p", type=float, nargs="+", required=True)
-    p_a.add_argument("--restarts", type=int, default=64)
-    p_a.add_argument("--seed", type=int, default=0)
     add_common(p_a)
     p_a.set_defaults(func=cmd_bounds)
 
@@ -468,6 +466,9 @@ def main(argv=None) -> int:
     except (ValueError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:  # a numerical cross-check or consistency check failed
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Dense complex linear algebra and quantum primitives.
 
-States, tensor products, partial traces, fidelities and the conversion
-between entanglement fidelity F and transmission fidelity f.  Everything
-here is a pure function on immutable values, so concurrent use is safe.
-Monte Carlo sampling draws from PCG64 streams derived deterministically
-from the user seed (one stream per fixed-size chunk), so estimates are
-reproducible regardless of how the chunks are scheduled.
+States, tensor products, local operators applied to state vectors,
+partial traces, fidelities and the conversion between entanglement
+fidelity F and transmission fidelity f.  Everything here is a pure
+function on immutable values, so concurrent use is safe.  Monte Carlo
+sampling draws from PCG64 streams derived deterministically from the user
+seed (one stream per fixed-size chunk), so estimates are reproducible
+regardless of how the chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -142,11 +143,14 @@ def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
     return Ket(op.reshape(-1) / np.sqrt(d))
 
 
-def embed_operator(op: np.ndarray, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on the given sites into the full product space.
+def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Apply an operator to the given sites of a state vector.
 
     ``op`` is a matrix on the tensor product of ``dims[s]`` for ``s`` in
-    ``sites`` (in that order); the result acts as the identity elsewhere.
+    ``sites`` (in that order) and acts as the identity elsewhere; ``state``
+    has ``prod(dims)`` amplitudes.  Returns the new state with the shape of
+    ``state``.  Only the operator's sites are contracted, so the full
+    operator is never formed.
     """
     op = ensure_square(op)
     dims = list(dims)
@@ -154,18 +158,28 @@ def embed_operator(op: np.ndarray, sites: Sequence[int], dims: Sequence[int]) ->
     sites = list(sites)
     if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
         raise ValueError(f"invalid site list {sites} for {n} subsystems")
-    expected = int(np.prod([dims[s] for s in sites]))
-    if op.shape[0] != expected:
+    local = [dims[s] for s in sites]
+    if op.shape[0] != int(np.prod(local)):
         raise ValueError(f"operator dim {op.shape[0]} does not match sites {sites}")
-    rest = [i for i in range(n) if i not in sites]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(op, np.eye(d_rest))
-    perm = sites + rest
-    tensor = full.reshape([dims[p] for p in perm] * 2)
-    inv = np.argsort(perm)
-    tensor = tensor.transpose(list(inv) + [n + i for i in inv])
-    total = int(np.prod(dims))
-    return tensor.reshape(total, total)
+    state = np.asarray(state, dtype=complex)
+    if state.size != int(np.prod(dims)):
+        raise ValueError(f"state of size {state.size} does not match subsystem dims {dims}")
+    k = len(sites)
+    out = np.tensordot(op.reshape(local + local), state.reshape(dims), axes=(list(range(k, 2 * k)), sites))
+    return np.moveaxis(out, list(range(k)), sites).reshape(state.shape)
+
+
+def expectation(
+    op: np.ndarray,
+    sites: Sequence[int],
+    state: np.ndarray,
+    dims: Sequence[int],
+    ket: np.ndarray | None = None,
+) -> complex:
+    """Matrix element <state| op |ket> with ``op`` on the given sites; ``ket``
+    defaults to ``state``, which gives the expectation value."""
+    target = state if ket is None else ket
+    return complex(np.vdot(state, apply(op, sites, target, dims)))
 
 
 def partial_trace(

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qcore import DensityMatrix, bell_state, embed_operator, entanglement_fidelity, f_from_F
+from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F
 from .pauli import weyl
 
 POVM_SUM_TOL = 1e-10
@@ -113,29 +113,33 @@ def correction_unitaries(d: int, k: int) -> list[np.ndarray]:
     return [weyl(d, a, b).conj().T for a, b in _weyl_labels(d)[:k]]
 
 
+def _corrected_target(d: int, u: np.ndarray) -> np.ndarray:
+    """(1 (x) u)^dagger |psi+><psi+| (1 (x) u): the target pulled back
+    through a correction u on the second site."""
+    v = np.kron(np.eye(d), u.conj().T) @ bell_state(d).amplitudes
+    return np.outer(v, v.conj())
+
+
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     """End-to-end simulation of teleportation with only k classical messages.
 
     Four subsystems A, B, C, D each of dimension d carry psi+_AB (x) psi+_CD.
-    The POVM acts on (D, A), Bob's correction on B, systems A and D are
-    traced out and the overlaps of the conditional states on (C, B) with
-    |psi+> are summed.  The exact value k/d^2 is reported alongside.
+    The POVM acts on (D, A) and Bob's correction on B; the overlap of the
+    corrected (C, B) branch with |psi+> is summed over outcomes.  The input
+    is pure and the correction commutes with the POVM element, so tracing
+    out A and D leaves the matrix element <s| (U^dagger T U)_CB (x) M_DA |s>
+    on the state vector, with T = |psi+><psi+|.  The exact value k/d^2 is
+    reported alongside.
     """
     povm = constrained_povm(d, k)
     corrections = correction_unitaries(d, k)
     dims = [d, d, d, d]  # A, B, C, D
     state = np.kron(bell_state(d).amplitudes, bell_state(d).amplitudes)
-    rho = np.outer(state, state.conj())
-    target = np.outer(bell_state(d).amplitudes, bell_state(d).amplitudes.conj())
 
     total = 0.0
     for element, u_b in zip(povm.elements, corrections):
-        m_full = embed_operator(element, (3, 0), dims)
-        u_full = embed_operator(u_b, (1,), dims)
-        conditional = u_full @ m_full @ rho @ u_full.conj().T
-        # conditional branches are subnormalised, so skip density-matrix checks
-        reduced = _partial_trace_raw(conditional, dims, keep=[2, 1])
-        total += float(np.real(np.trace(reduced @ target)))
+        measured = apply(element, (3, 0), state, dims)
+        total += expectation(_corrected_target(d, u_b), (2, 1), state, dims, ket=measured).real
 
     exact = Fraction(k, d * d)
     f = float(f_from_F(exact, d))
@@ -147,22 +151,6 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
         exact=exact,
         details={"d": d, "k": k, "exact_float": float(exact)},
     )
-
-
-def _partial_trace_raw(matrix: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace without density-matrix validation (branches may be subnormalised)."""
-    dims = list(dims)
-    n = len(dims)
-    tensor = matrix.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    left = list(letters[:n])
-    right = list(letters[n : 2 * n])
-    for i in range(n):
-        if i not in keep:
-            right[i] = left[i]
-    out = "".join(left[i] for i in keep) + "".join(right[i] for i in keep)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return np.einsum("".join(left) + "".join(right) + "->" + out, tensor).reshape(d_keep, d_keep)
 
 
 def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
@@ -222,8 +210,8 @@ def composite_nsqrac_via_qracse(d: int = 2, cross_check: bool = False) -> Strate
     and 0 otherwise, so the success equals the decoder's average success.
 
     With ``cross_check=True`` the teleportation layer is also simulated as an
-    explicit 8-qubit state (dimension 256) with Bell projectors, corrections
-    and partial traces; both paths must agree to 1e-9.
+    explicit 8-qubit state vector (dimension 256) with Bell projectors and
+    corrections; both paths must agree to 1e-9, or RuntimeError is raised.
     """
     if d != 2:
         raise ValueError("the composite strategy is implemented for d=2")
@@ -269,9 +257,10 @@ def _max_wrong_correction_overlap(d: int) -> float:
 
 def _composite_full_state_fidelity(d: int) -> float:
     """Explicit teleportation layer: two reference pairs, two shared pairs,
-    Bell projectors on Alice's side, decoder statistics, Weyl corrections."""
+    Bell projectors on Alice's side, decoder statistics, Weyl corrections,
+    all applied to the 8-site state vector."""
     from .codes import builtin_table
-    from .qracse import QracTask, _inverse_array, _success_tensor
+    from .qracse import _inverse_array, _success_tensor
 
     table = builtin_table(d)
     inv = _inverse_array(table)
@@ -280,31 +269,22 @@ def _composite_full_state_fidelity(d: int) -> float:
     dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
     psi = bell_state(d).amplitudes
     state = np.kron(np.kron(psi, psi), np.kron(psi, psi))
-    rho = np.outer(state, state.conj())
     labels = _weyl_labels(d)
-    target = np.outer(psi, psi.conj())
+    targets = {(ga, gb): _corrected_target(d, weyl(d, ga, gb).conj().T) for ga, gb in labels}
+    pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
 
     total = {0: 0.0, 1: 0.0}
     for a1, b1 in labels:
-        p1 = _bob_side_bell_projector(d, a1, b1).T
-        m1 = embed_operator(p1, (1, 2), dims)
+        first = apply(_bob_side_bell_projector(d, a1, b1).T, (1, 2), state, dims)
         for a2, b2 in labels:
-            p2 = _bob_side_bell_projector(d, a2, b2).T
-            m2 = embed_operator(p2, (5, 6), dims)
-            branch = m1 @ m2 @ rho
+            branch = apply(_bob_side_bell_projector(d, a2, b2).T, (5, 6), first, dims)
             e0 = inv[a1, a2]
             e1 = inv[b1, b2]
             for c in (0, 1):
-                out_site = 3 if c == 0 else 7
-                ref_site = 0 if c == 0 else 4
-                for ga in range(d):
-                    for gb in range(d):
-                        p_dec = float(tensors[c][e0, e1, ga, gb])
-                        if p_dec < 1e-15:
-                            continue
-                        u = weyl(d, ga, gb).conj().T
-                        u_full = embed_operator(u, (out_site,), dims)
-                        corrected = u_full @ branch @ u_full.conj().T
-                        pair = _partial_trace_raw(corrected, dims, keep=[ref_site, out_site])
-                        total[c] += p_dec * float(np.real(np.trace(pair @ target)))
+                for ga, gb in labels:
+                    p_dec = float(tensors[c][e0, e1, ga, gb])
+                    if p_dec < 1e-15:
+                        continue
+                    overlap = expectation(targets[ga, gb], pair_sites[c], state, dims, ket=branch).real
+                    total[c] += p_dec * overlap
     return 0.5 * (total[0] + total[1])

@@ -1,6 +1,20 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the test run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the test run,
+and provides the shared reproduction run."""
 
 import pytest
+
+from qracsim.cli import run_reproduction
+
+REFERENCE_SEED = 20220314
+
+
+@pytest.fixture(scope="session")
+def reproduction(tmp_path_factory):
+    """One reproduce-all run at the reference seed, shared by every test that
+    only reads its checks, summary or artifacts: (out_dir, checks, summary)."""
+    out_dir = tmp_path_factory.mktemp("reports")
+    checks, summary = run_reproduction(seed=REFERENCE_SEED, out_dir=out_dir)
+    return out_dir, checks, summary
 
 _acceptance_labels = {}
 

@@ -154,7 +154,7 @@ def test_04_two_string_protocol_d3_stated_per_choice(two_string_reports):
         )
 
 
-def test_04_two_string_protocol_d3_tabulated_row_soft(two_string_reports, tmp_path):
+def test_04_two_string_protocol_d3_tabulated_row_soft(two_string_reports, reproduction):
     """criterion 4 (soft part): d=3 tabulated row 0.539/0.424 and annotations"""
     with _Recorder("criterion 4 (soft part)") as rec:
         report = two_string_reports[3]
@@ -167,7 +167,7 @@ def test_04_two_string_protocol_d3_tabulated_row_soft(two_string_reports, tmp_pa
             "p_avg is the mean of the per-choice values",
         )
         # the reproduction summary annotates the discrepant stated values
-        _, summary = run_reproduction(seed=20220314, out_dir=tmp_path / "annotated")
+        _, _, summary = reproduction
         rec.check("per_choice_c0(d=3)" in summary["annotations"], "annotation for choice 0 present")
         rec.check("per_choice_c1(d=3)" in summary["annotations"], "annotation for choice 1 present")
         rec.check(summary["hard_failures"] == 0, "no hard reproduction failures")
@@ -236,9 +236,7 @@ def test_08_bounds():
         for d in (2, 3):
             for i in range(11):
                 p = i / 10
-                optimum = bounds.asym_optimize(
-                    bounds.AsymSpec(d=d, probabilities=(p, 1 - p)), restarts=16, seed=20220314
-                )
+                optimum = bounds.asym_optimize(bounds.AsymSpec(d=d, probabilities=(p, 1 - p)))
                 closed = bounds.asym_closed_form_n2(p, d)
                 rec.check(
                     abs(optimum.value - closed) <= 1e-6,

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
-from qracsim.cli import main, run_reproduction
+from qracsim import qracse, teleport
+from qracsim.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +82,11 @@ class TestBoundsCommand:
         closed = float(lines[1].split("=")[-1])
         assert value == pytest.approx(closed, abs=1e-6)
 
+    def test_asym_without_solver_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bounds", "asym", "--d", "2", "--p", "0.5", "0.5", "--restarts", "4"])
+        capsys.readouterr()
+
     def test_asym_json(self, capsys):
         _, out = run_cli(capsys, "bounds", "asym", "--d", "2", "--p", "0.5", "0.5", "--format", "json")
         payload = json.loads(out)
@@ -95,35 +102,41 @@ class TestOutputFile:
         assert json.loads(target.read_text())["exact"] == {"numerator": 1, "denominator": 2}
 
 
-@pytest.fixture(scope="module")
-def outcome(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("reports")
-    checks, summary = run_reproduction(seed=20220314, out_dir=out_dir)
-    return out_dir, checks, summary
-
-
 class TestReproduceAll:
-    def test_no_hard_failures(self, outcome):
-        _, checks, summary = outcome
+    def test_no_hard_failures(self, reproduction):
+        _, checks, summary = reproduction
         assert summary["hard_failures"] == 0
 
-    def test_known_annotations_present(self, outcome):
-        _, _, summary = outcome
+    def test_known_annotations_present(self, reproduction):
+        _, _, summary = reproduction
         assert "per_choice_c0(d=3)" in summary["annotations"]
         assert "per_choice_c1(d=3)" in summary["annotations"]
 
-    def test_artifacts_written(self, outcome):
-        out_dir, _, summary = outcome
+    def test_artifacts_written(self, reproduction):
+        out_dir, _, summary = reproduction
         for name in ("summary.json", "table4.json", "table4.csv", "teleport_sweep.csv", "monogamy_scan.json"):
             assert (out_dir / name).exists()
         payload = json.loads((out_dir / "summary.json").read_text())
         assert payload["hard_failures"] == 0
 
-    def test_table4_csv_shape(self, outcome):
-        out_dir, _, _ = outcome
+    def test_table4_csv_shape(self, reproduction):
+        out_dir, _, _ = reproduction
         lines = (out_dir / "table4.csv").read_text().splitlines()
         assert lines[0] == "d,P_min,trivial_P_min,P_avg,trivial_P_avg"
         assert len(lines) == 4
+
+    def test_csv_cells_are_numbers(self, reproduction):
+        out_dir, _, summary = reproduction
+        csv_names = [name for name in summary["artifacts"] if name.endswith(".csv")]
+        assert csv_names
+        for name in csv_names:
+            rows = list(csv.reader((out_dir / name).read_text().splitlines()))
+            for row in rows[1:]:
+                for cell in row:
+                    try:
+                        int(cell)
+                    except ValueError:
+                        float(cell)  # raises on anything that is not a plain number
 
     def test_cli_exit_code(self, tmp_path, capsys):
         code = main(["reproduce-all", "--seed", "20220314", "--out", str(tmp_path / "r")])
@@ -137,3 +150,30 @@ class TestReproduceAll:
         capsys.readouterr()
         assert code == 0
         assert (target / "summary.json").exists()
+
+
+class TestNumericalFailures:
+    def test_cross_check_disagreement_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(teleport, "_composite_full_state_fidelity", lambda d: 0.5)
+        code = main(["reproduce-all", "--seed", "20220314", "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: full-state simulation disagrees")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_incomplete_basis_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(qracse, "OUTCOME_NORMALISATION_TOL", -1.0)
+        qracse._success_tensor.cache_clear()
+        try:
+            code = main(["qracse", "--d", "2"])
+        finally:
+            qracse._success_tensor.cache_clear()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: measurement basis incomplete")
+        assert len(err.splitlines()) == 1
+
+    def test_bad_input_keeps_exit_code_two(self, capsys):
+        assert main(["teleport", "--d", "2", "--k", "9"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

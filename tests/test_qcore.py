@@ -9,9 +9,10 @@ from qracsim.qcore import (
     DensityMatrix,
     Ket,
     F_from_f,
+    apply,
     bell_state,
-    embed_operator,
     entanglement_fidelity,
+    expectation,
     f_from_F,
     haar_random_ket,
     kron,
@@ -91,27 +92,83 @@ class TestKron:
             assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
 
 
-class TestEmbedOperator:
+def _random_operator(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _random_state(dim, rng):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _full_operator(op, sites, dims):
+    """Independent oracle: kron(op, 1) on the sites-first ordering, conjugated
+    by the explicit permutation matrix that restores the tensor order."""
+    rest = [i for i in range(len(dims)) if i not in sites]
+    order = list(sites) + rest
+    full = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    total = int(np.prod(dims))
+    perm = np.zeros((total, total))
+    for index in np.ndindex(*dims):
+        permuted = np.ravel_multi_index([index[i] for i in order], [dims[i] for i in order])
+        perm[permuted, np.ravel_multi_index(index, dims)] = 1
+    return perm.T @ full @ perm
+
+
+class TestApply:
     def test_single_site_matches_kron(self):
-        assert np.allclose(embed_operator(X2, (0,), [2, 2]), np.kron(X2, np.eye(2)))
-        assert np.allclose(embed_operator(X2, (1,), [2, 2]), np.kron(np.eye(2), X2))
+        rng = np.random.default_rng(4)
+        psi = _random_state(4, rng)
+        assert np.allclose(apply(X2, (0,), psi, [2, 2]), np.kron(X2, np.eye(2)) @ psi)
+        assert np.allclose(apply(X2, (1,), psi, [2, 2]), np.kron(np.eye(2), X2) @ psi)
 
     def test_two_site_permutation(self):
         rng = np.random.default_rng(5)
-        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        direct = np.kron(op, np.eye(2))
-        assert np.allclose(embed_operator(op, (0, 1), [2, 2, 2]), direct)
+        op = _random_operator(4, rng)
+        psi = _random_state(8, rng)
+        assert np.allclose(apply(op, (0, 1), psi, [2, 2, 2]), np.kron(op, np.eye(2)) @ psi)
         # acting on sites (1, 0) swaps the tensor factors of the operator
-        swapped = embed_operator(op, (1, 0), [2, 2, 2])
         swap = np.zeros((4, 4))
         for i in range(2):
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1
-        assert np.allclose(swapped, np.kron(swap @ op @ swap.T, np.eye(2)))
+        expected = np.kron(swap @ op @ swap.T, np.eye(2)) @ psi
+        assert np.allclose(apply(op, (1, 0), psi, [2, 2, 2]), expected)
+
+    @pytest.mark.parametrize(
+        "dims,sites",
+        [([2, 3, 2], (2,)), ([2, 3, 2], (2, 0)), ([3, 2, 2, 3], (3, 1)), ([2, 3, 2, 2], (1, 3, 0)), ([3, 2, 2], (1, 2, 0))],
+    )
+    def test_random_operator_on_permuted_sites(self, dims, sites):
+        rng = np.random.default_rng(sum(dims) * 10 + len(sites))
+        op = _random_operator(int(np.prod([dims[s] for s in sites])), rng)
+        psi = _random_state(int(np.prod(dims)), rng)
+        full = _full_operator(op, sites, dims)
+        assert np.allclose(apply(op, sites, psi, dims), full @ psi, atol=1e-12)
+        # the same contraction on a state given as a tensor keeps its shape
+        tensor = psi.reshape(dims)
+        assert np.allclose(apply(op, sites, tensor, dims), (full @ psi).reshape(dims), atol=1e-12)
+        assert expectation(op, sites, psi, dims) == pytest.approx(np.vdot(psi, full @ psi), abs=1e-12)
+        ket = _random_state(psi.size, rng)
+        assert expectation(op, sites, psi, dims, ket=ket) == pytest.approx(np.vdot(psi, full @ ket), abs=1e-12)
+
+    def test_expectation_of_hermitian_is_real(self):
+        rng = np.random.default_rng(9)
+        g = _random_operator(4, rng)
+        psi = _random_state(16, rng)
+        value = expectation(g + g.conj().T, (3, 1), psi, [2, 2, 2, 2])
+        assert abs(value.imag) < 1e-12
 
     def test_rejects_bad_sites(self):
+        psi = np.array([1, 0, 0, 0], dtype=complex)
         with pytest.raises(ValueError):
-            embed_operator(X2, (3,), [2, 2])
+            apply(X2, (3,), psi, [2, 2])
+        with pytest.raises(ValueError):
+            apply(X2, (0, 0), psi, [2, 2])
+        with pytest.raises(ValueError):
+            apply(np.kron(X2, X2), (0,), psi, [2, 2])
+        with pytest.raises(ValueError):
+            apply(X2, (0,), psi[:3], [2, 2])
 
 
 class TestPartialTrace:

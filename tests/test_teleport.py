@@ -69,6 +69,11 @@ class TestConstrainedTeleportation:
             assert result.exact == Fraction(k, d * d)
             assert abs(result.entanglement_fidelity_F - k / d**2) < 1e-10
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_fidelity_sweep_large_dimension(self, d):
+        for k in range(1, d * d + 1):
+            assert abs(constrained_teleport_fidelity(d, k).entanglement_fidelity_F - k / d**2) < 1e-10
+
     def test_perfect_protocol(self):
         assert constrained_teleport_fidelity(2, 4).entanglement_fidelity_F == pytest.approx(1.0, abs=1e-10)
 
