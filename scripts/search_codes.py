@@ -26,7 +26,9 @@ def main() -> int:
     results = []
     for seed in args.seeds:
         res = search_tables(args.d, objective=args.objective, budget=args.budget, seed=seed)
-        assert validate(res.table).valid
+        if not validate(res.table).valid:
+            print(f"error: seed {seed} returned an invalid table {res.table.to_json()}", file=sys.stderr)
+            return 1
         results.append(res)
 
     best = max(results, key=lambda r: r.score)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,59 +152,86 @@ class SearchResult:
     evaluations: int
 
 
-def _score_fn(d: int, objective: str):
-    from .qracse import QracTask, run_protocol  # local import; qracse depends on this module
-
-    def score(table: EncodingTable) -> float:
-        report = run_protocol(QracTask(d=d, table=table, variant="two_strings"))
-        return report.p_min if objective == "p_min" else report.p_avg
-
-    return score
-
-
-def _rook_neighbours(d: int, pair: Pair) -> list[Pair]:
-    a, b = pair
-    return [(x, b) for x in range(d) if x != a] + [(a, y) for y in range(d) if y != b]
+@lru_cache(maxsize=None)
+def _rook_neighbours(d: int) -> tuple[tuple[int, ...], ...]:
+    """Cells a*d + b one digit away from each cell: first digit changed, then second."""
+    return tuple(
+        tuple(x * d + b for x in range(d) if x != a) + tuple(a * d + y for y in range(d) if y != b)
+        for a in range(d)
+        for b in range(d)
+    )
 
 
-def _random_cycle(d: int, rng: np.random.Generator) -> tuple[Pair, ...] | None:
-    """Random Hamiltonian cycle on the rook graph of the d x d digit grid."""
-    nodes = [(a, b) for a in range(d) for b in range(d)]
-    start = nodes[rng.integers(len(nodes))]
-    path = [start]
-    used = {start}
+def _random_cycle(d: int, rng: np.random.Generator) -> list[int] | None:
+    """Random Hamiltonian cycle on the rook graph of the d x d digit grid, as cells a*d + b."""
+    nbrs = _rook_neighbours(d)
+    path = [int(rng.integers(d * d))]
+    used = [False] * (d * d)
+    used[path[0]] = True
 
     def extend() -> bool:
         if len(path) == d * d:
-            p, q = path[-1], path[0]
-            return (p[0] == q[0]) != (p[1] == q[1])
-        nbrs = _rook_neighbours(d, path[-1])
-        order = rng.permutation(len(nbrs))
-        for i in order:
-            nxt = nbrs[i]
-            if nxt in used:
+            return path[0] in nbrs[path[-1]]
+        options = nbrs[path[-1]]
+        for i in rng.permutation(len(options)).tolist():
+            nxt = options[i]
+            if used[nxt]:
                 continue
             path.append(nxt)
-            used.add(nxt)
+            used[nxt] = True
             if extend():
                 return True
             path.pop()
-            used.remove(nxt)
+            used[nxt] = False
         return False
 
-    return tuple(path) if extend() else None
+    return path if extend() else None
 
 
-def _two_opt_valid(pairs: tuple[Pair, ...], i: int, j: int) -> tuple[Pair, ...] | None:
-    """Reverse the segment [i..j]; keep only if the two new joints stay single distance."""
-    n = len(pairs)
-    new = list(pairs)
-    new[i : j + 1] = reversed(new[i : j + 1])
-    for e in (i - 1, j):
-        p, q = new[e % n], new[(e + 1) % n]
-        if (p[0] != q[0]) + (p[1] != q[1]) != 1:
-            return None
-    return tuple(new)
+@lru_cache(maxsize=None)
+def _all_cycles(d: int) -> np.ndarray:
+    """Every valid table as a row of cells a*d + b, in lexicographic order.
+
+    Enumerated depth first; 8 tables for d = 2 and 864 for d = 3 (the count
+    grows too fast to enumerate beyond that).
+    """
+    nbrs = _rook_neighbours(d)
+    found = []
+
+    def extend(path: list[int]):
+        if len(path) == d * d:
+            if path[0] in nbrs[path[-1]]:
+                found.append(path)
+            return
+        for q in sorted(nbrs[path[-1]]):
+            if q not in path:
+                extend(path + [q])
+
+    for start in range(d * d):
+        extend([start])
+    cycles = np.array(found, dtype=np.intp)
+    cycles.setflags(write=False)
+    return cycles
+
+
+@lru_cache(maxsize=None)
+def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moves of one climb step on a cycle of n = d^2 cells, and the one-digit steps.
+
+    Row r - 1 of ``moves`` takes a cycle to its rotation by r; the rows after
+    them reverse the segment [i..j] for each i < j in row-major order.
+    ``one_step[p, q]`` says whether cells p and q differ in exactly one digit.
+    """
+    n = d * d
+    k = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    reversals = np.where((k >= i[:, None]) & (k <= j[:, None]), (i + j)[:, None] - k, k)
+    moves = np.concatenate([(k + k[1:, None]) % n, reversals])
+    a, b = np.divmod(k, d)
+    one_step = (a[:, None] != a) ^ (b[:, None] != b)
+    moves.setflags(write=False)
+    one_step.setflags(write=False)
+    return moves, one_step
 
 
 def search_tables(
@@ -215,14 +242,19 @@ def search_tables(
 ) -> SearchResult:
     """Search valid single-distance tables for the best protocol score.
 
-    Exhaustive for d = 2 (the space is tiny); for d = 3..5, seeded random
-    restarts over Hamiltonian cycles of the rook graph with rotation and
-    segment-reversal moves.  ``budget`` caps the number of protocol
-    evaluations.  The generated table (and the built-in one where it exists)
-    is always evaluated first, so the result never scores below it.
+    Exhaustive for d = 2, and for d = 3 once the budget covers all 864
+    valid tables; otherwise seeded random restarts over Hamiltonian cycles
+    of the rook graph, climbing by rotation and segment-reversal moves.
+    ``budget`` caps the number of distinct tables evaluated.  The generated
+    table (and the built-in one where it exists) is always evaluated first,
+    so the result never scores below it.  Each climb step scores its whole
+    move list in one batch and takes the first improving move; the scores
+    past that move are not counted and do not change the result.
     Deterministic for a fixed seed; ties break to the lexicographically
     smallest pair sequence.
     """
+    from .qracse import _two_string_values  # local import; qracse depends on this module
+
     if objective not in ("p_min", "p_avg"):
         raise ValueError(f"unknown objective {objective!r}")
     if budget < 1:
@@ -230,65 +262,67 @@ def search_tables(
     if not 2 <= d <= 5:
         raise ValueError("search supports 2 <= d <= 5 (evaluation cost grows as d^4)")
 
-    score = _score_fn(d, objective)
+    n = d * d
     rng = np.random.default_rng(seed)
-    evaluated: dict[tuple[Pair, ...], float] = {}
-    evals = 0
+    evaluated: dict[tuple[int, ...], float] = {}  # cells a*d + b of each table -> score
 
-    def consider(pairs: tuple[Pair, ...]) -> float | None:
-        nonlocal evals
-        if pairs in evaluated:
-            return evaluated[pairs]
-        if evals >= budget:
-            return None
-        evals += 1
-        s = score(EncodingTable(d=d, pairs=pairs))
-        evaluated[pairs] = s
-        return s
+    def score(cycles: np.ndarray) -> list[float]:
+        invs = np.full(cycles.shape, -1, dtype=np.intp)
+        np.put_along_axis(invs, cycles, np.arange(n), axis=1)
+        per_string, per_choice = _two_string_values(invs.reshape(-1, d, d))
+        if objective == "p_min":
+            return per_string.reshape(len(cycles), -1).min(axis=1).tolist()
+        return per_choice.mean(axis=1).tolist()
 
-    seeds_tables = [generate_single_distance(d).pairs]
-    if d in _BUILTIN and _BUILTIN[d] != seeds_tables[0]:
-        seeds_tables.append(_BUILTIN[d])
-    for pairs in seeds_tables:
-        consider(pairs)
+    def walk(cycles: np.ndarray, beat: float = np.inf) -> int | None:
+        """Evaluate the rows in order until one scores above ``beat`` (its
+        index is returned) or the budget runs out; rows seen before are free."""
+        keys = list(map(tuple, cycles.tolist()))
+        unseen: dict[tuple[int, ...], int] = {}
+        room = budget - len(evaluated)
+        for row, key in enumerate(keys):
+            if key not in evaluated and key not in unseen:
+                if len(unseen) == room:  # out of budget: evaluation stops here
+                    keys = keys[:row]
+                    break
+                unseen[key] = row
+        scores = dict(zip(unseen, score(cycles[list(unseen.values())]))) if unseen else {}
+        for row, key in enumerate(keys):
+            if key not in evaluated:
+                evaluated[key] = scores[key]
+            if evaluated[key] > beat + 1e-12:
+                return row
+        return None
 
-    if d == 2:
-        for perm in permutations(((0, 0), (0, 1), (1, 0), (1, 1))):
-            if validate(EncodingTable(d=2, pairs=perm)).valid:
-                consider(perm)
+    def cells(pairs: tuple[Pair, ...]) -> np.ndarray:
+        return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)
+
+    walk(cells(generate_single_distance(d).pairs))
+    if d in _BUILTIN:
+        walk(cells(_BUILTIN[d]))
+
+    if d == 2 or (d == 3 and budget >= len(_all_cycles(3))):
+        walk(_all_cycles(d))
     else:
-        n = d * d
-        while evals < budget:
+        all_moves, one_step = _climb_moves(d)
+        while len(evaluated) < budget:
             cycle = _random_cycle(d, rng)
             if cycle is None:
                 break
-            current = cycle
-            current_score = consider(current)
-            if current_score is None:
-                break
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                moves: list[tuple[Pair, ...]] = []
-                moves.extend(current[r:] + current[:r] for r in range(1, n))
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        m = _two_opt_valid(current, i, j)
-                        if m is not None:
-                            moves.append(m)
-                for move in moves:
-                    s = consider(move)
-                    if s is None:
-                        break
-                    if s > current_score + 1e-12:
-                        current, current_score = move, s
-                        improved = True
-                        break
+            current = np.array(cycle, dtype=np.intp)
+            walk(current[None])
+            while len(evaluated) < budget:
+                moves = current[all_moves]
+                moves = moves[one_step[moves, np.roll(moves, -1, axis=1)].all(axis=1)]
+                accepted = walk(moves, evaluated[tuple(current.tolist())])
+                if accepted is None:
+                    break
+                current = moves[accepted]
 
-    best_pairs = min(evaluated, key=lambda p: (-evaluated[p], p))
+    best = min(evaluated, key=lambda cycle: (-evaluated[cycle], cycle))
     return SearchResult(
-        table=EncodingTable(d=d, pairs=best_pairs),
-        score=evaluated[best_pairs],
+        table=EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in best)),
+        score=evaluated[best],
         objective=objective,
-        evaluations=evals,
+        evaluations=len(evaluated),
     )

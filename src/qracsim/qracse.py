@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,9 +155,17 @@ def _basis_kets(d: int, sx: int, sz: int) -> np.ndarray:
     return kets
 
 
+class Outcomes(NamedTuple):
+    """Outcome probabilities P[e0, e1, b0, b1] of one basis, with their
+    largest deviation from summing to one over (b0, b1)."""
+
+    probs: np.ndarray
+    normalisation_error: float
+
+
 @lru_cache(maxsize=None)
-def _success_tensor(d: int, sx: int, sz: int) -> np.ndarray:
-    """P[e0, e1, b0, b1] for the basis with register choices (sx, sz).
+def _success_tensor(d: int, sx: int, sz: int) -> Outcomes:
+    """Outcome probabilities for the basis with register choices (sx, sz).
 
     Outcome probabilities of every encoded state must sum to one; the engine
     refuses to continue if the basis fails that completeness check.
@@ -164,17 +173,17 @@ def _success_tensor(d: int, sx: int, sz: int) -> np.ndarray:
     enc = _encoding_kets(d).reshape(d**4, d**2)
     meas = _basis_kets(d, sx, sz).reshape(d**2, d**2)
     amps = meas.conj() @ enc.T
-    probs = np.abs(amps) ** 2
-    norm_err = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
+    tensor = (np.abs(amps) ** 2).T.reshape(d * d, d * d, d, d)
+    norm_err = float(np.max(np.abs(tensor.sum(axis=(2, 3)) - 1.0)))
     if norm_err > OUTCOME_NORMALISATION_TOL:
         raise RuntimeError(f"measurement basis incomplete, normalisation error {norm_err:.3e}")
-    tensor = probs.T.reshape(d * d, d * d, d, d)
     tensor.setflags(write=False)
-    return tensor
+    return Outcomes(tensor, norm_err)
 
 
 def _inverse_array(table: EncodingTable) -> np.ndarray:
-    inv = np.empty((table.d, table.d), dtype=np.intp)
+    """inv[a, b] = encoding index of the pair (a, b); -1 where the table misses a pair."""
+    inv = np.full((table.d, table.d), -1, dtype=np.intp)
     for e, (a, b) in enumerate(table.pairs):
         inv[a, b] = e
     return inv
@@ -185,33 +194,53 @@ def _require_bijective(table: EncodingTable):
         raise ValueError("encoding table must be a bijection onto the digit pairs")
 
 
-def _digit_grids(d: int):
-    return np.meshgrid(*([np.arange(d)] * 4), indexing="ij")  # a0_0, a0_1, a1_0, a1_1
+@lru_cache(maxsize=None)
+def _digit_grids(d: int) -> tuple[np.ndarray, ...]:
+    grids = np.meshgrid(*([np.arange(d)] * 4), indexing="ij")  # a0_0, a0_1, a1_0, a1_1
+    for g in grids:
+        g.setflags(write=False)
+    return tuple(grids)
+
+
+def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-string success of a stack of tables given as inverse arrays (M, d, d).
+
+    Returns the per-string values, shape (M, 2, d, d) indexed by (table,
+    choice, requested v0, v1), and the per-choice values, shape (M, 2).
+    Each per-string value adds its d^2 inputs one after another in row-major
+    order, so every row is bitwise independent of the rest of the batch.
+    """
+    m, d, _ = invs.shape
+    n = d * d
+    flat = invs.reshape(m, n)
+    if not (flat[:, None, :] == np.arange(n)[:, None]).any(axis=2).all():  # every index e appears
+        raise ValueError("encoding table must be a bijection onto the digit pairs")
+    al0, al1, be0, be1 = _digit_grids(d)
+    # flat index of (e0, e1) into P reshaped to (d^4, d^2), per table and input;
+    # np.take keeps every array C-ordered, so each row reduces as a lone table would
+    e0 = np.take(flat, (al0 * d + be0).ravel(), axis=1)
+    e1 = np.take(flat, (al1 * d + be1).ravel(), axis=1)
+    encoded = (e0 * n + e1) * n
+    per_string = np.empty((m, 2, d, d))
+    per_choice = np.empty((m, 2))
+    for c, (g0, g1) in enumerate(((al0, al1), (be0, be1))):
+        probs = np.take(_success_tensor(d, c, c).probs, encoded + (g0 * d + g1).ravel())
+        per_choice[:, c] = probs.mean(axis=1)
+        by_string = probs.reshape(m, d, d, d, d)
+        if c == 1:  # requested string's digits first
+            by_string = by_string.transpose(0, 3, 4, 1, 2)
+        sums = np.add.accumulate(by_string.reshape(m, d, d, n), axis=-1)[..., -1]
+        per_string[:, c] = sums / n
+    return per_string, per_choice
 
 
 def _run_two_strings(task: QracTask) -> ProtocolReport:
     d = task.d
-    _require_bijective(task.table)
-    inv = _inverse_array(task.table)
-    al0, al1, be0, be1 = _digit_grids(d)
-    e0 = inv[al0, be0]
-    e1 = inv[al1, be1]
-
-    per_string: dict[tuple[str, str], float] = {}
-    per_choice: dict[str, float] = {}
-    norm_errs = []
-    for c in (0, 1):
-        tensor = _success_tensor(d, c, c)
-        g0, g1 = (al0, al1) if c == 0 else (be0, be1)
-        probs = tensor[e0, e1, g0, g1]
-        per_choice[str(c)] = float(probs.mean())
-        sums = np.zeros((d, d))
-        np.add.at(sums, (g0, g1), probs)
-        for v0 in range(d):
-            for v1 in range(d):
-                per_string[(str(c), f"{v0}{v1}")] = float(sums[v0, v1] / d**2)
-        norm_errs.append(float(np.max(np.abs(tensor.sum(axis=(2, 3)) - 1.0))))
-
+    values, choices = _two_string_values(_inverse_array(task.table)[None])
+    per_choice = {str(c): float(choices[0, c]) for c in (0, 1)}
+    per_string = {
+        (str(c), f"{v0}{v1}"): float(values[0, c, v0, v1]) for c in (0, 1) for v0 in range(d) for v1 in range(d)
+    }
     p_avg = float(np.mean(list(per_choice.values())))
     p_min = min(per_string.values())
     return ProtocolReport(
@@ -223,7 +252,7 @@ def _run_two_strings(task: QracTask) -> ProtocolReport:
         p_min=p_min,
         details={
             "table": [list(p) for p in task.table.pairs],
-            "outcome_normalisation_error": max(norm_errs),
+            "outcome_normalisation_error": max(_success_tensor(d, c, c).normalisation_error for c in (0, 1)),
         },
     )
 
@@ -251,9 +280,9 @@ def _pair_success_grids(task: QracTask) -> dict[str, np.ndarray]:
     layout = {"01": (0, 0), "23": (1, 1), "03": (0, 1), "12": (1, 0)}
     sides = {0: {0: a0, 1: a2}, 1: {0: a1, 1: a3}}
     for key, (sx, sz) in layout.items():
-        tensor = _success_tensor(d, sx, sz)
+        tensor = _success_tensor(d, sx, sz).probs
         grids[key] = tensor[e0, e1, sides[0][sx], sides[1][sz]]
-    base = _success_tensor(d, 0, 0)[e0, e1, a0, a1]
+    base = _success_tensor(d, 0, 0).probs[e0, e1, a0, a1]
     grids["02"] = base / d
     grids["13"] = base / d
     return grids
@@ -278,7 +307,7 @@ def _run_four_dits_pairs(task: QracTask) -> ProtocolReport:
                 per_string[(key, f"{vi}{vj}")] = float(sums[vi, vj] / d**2)
 
     # single-digit marginal alternative for the within-register pairs
-    kept0 = _success_tensor(d, 0, 0).sum(axis=3)  # P[e0, e1, b0] summed over b1
+    kept0 = _success_tensor(d, 0, 0).probs.sum(axis=3)  # P[e0, e1, b0] summed over b1
 
     p_avg = float(np.mean(list(per_choice.values())))
     p_min = min(per_string.values())
@@ -313,8 +342,8 @@ def _single_bit_success(task: QracTask) -> dict[str, np.ndarray]:
     a0, a1, a2, a3 = _digit_grids(d)
     e0 = inv[a0, a2]
     e1 = inv[a1, a3]
-    front = _success_tensor(d, 0, 0)[e0, e1, a0, a1]
-    back = _success_tensor(d, 1, 1)[e0, e1, a2, a3]
+    front = _success_tensor(d, 0, 0).probs[e0, e1, a0, a1]
+    back = _success_tensor(d, 1, 1).probs[e0, e1, a2, a3]
     return {"0": front, "1": front, "2": back, "3": back}
 
 
@@ -337,8 +366,8 @@ def _run_four_dits_single(task: QracTask) -> ProtocolReport:
         for v in range(d):
             per_string[(key, str(v))] = float(sums[v] / d**3)
 
-    marg_front = _success_tensor(d, 0, 0).sum(axis=3)[e0, e1, bits[0]]
-    marg_back = _success_tensor(d, 1, 1).sum(axis=3)[e0, e1, bits[2]]
+    marg_front = _success_tensor(d, 0, 0).probs.sum(axis=3)[e0, e1, bits[0]]
+    marg_back = _success_tensor(d, 1, 1).probs.sum(axis=3)[e0, e1, bits[2]]
     p_avg = float(np.mean(list(per_choice.values())))
     p_min = min(per_string.values())
     return ProtocolReport(
@@ -383,8 +412,8 @@ def _run_boolean_f(task: QracTask) -> ProtocolReport:
         y0, y1, y2, y3 = induced
         e0 = inv[y0, y2]
         e1 = inv[y1, y3]
-        front = float(_success_tensor(d, 0, 0)[e0, e1, y0, y1])
-        back = float(_success_tensor(d, 1, 1)[e0, e1, y2, y3])
+        front = float(_success_tensor(d, 0, 0).probs[e0, e1, y0, y1])
+        back = float(_success_tensor(d, 1, 1).probs[e0, e1, y2, y3])
         succ = {"0": front, "1": front, "2": back, "3": back}
         for pos, key in enumerate(_SUBSETS_3_OF_4):
             p = succ[str(pos)]

@@ -264,7 +264,7 @@ def _composite_full_state_fidelity(d: int) -> float:
 
     table = builtin_table(d)
     inv = _inverse_array(table)
-    tensors = {c: _success_tensor(d, c, c) for c in (0, 1)}
+    tensors = {c: _success_tensor(d, c, c).probs for c in (0, 1)}
 
     dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
     psi = bell_state(d).amplitudes

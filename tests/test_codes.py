@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from qracsim.codes import (
     EncodingTable,
+    SearchResult,
     TableUnavailableError,
     builtin_table,
     generate_single_distance,
@@ -156,6 +161,66 @@ class TestSearch:
     def test_large_dimension_rejected(self):
         with pytest.raises(ValueError):
             search_tables(6, "p_min", budget=5, seed=0)
+
+    @pytest.mark.parametrize("objective", ["p_min", "p_avg"])
+    def test_d3_budget_past_the_space_stops_after_every_table(self, objective):
+        # there are only 864 valid d = 3 tables, so a larger budget must stop there
+        from qracsim.qracse import QracTask, run_protocol
+        from test_acceptance import _single_distance_tables
+
+        result = search_tables(3, objective, budget=870, seed=0)
+        assert result.evaluations == 864
+        reports = [
+            run_protocol(QracTask(d=3, table=EncodingTable(d=3, pairs=pairs))) for pairs in _single_distance_tables(3)
+        ]
+        assert result.score == max(getattr(r, objective) for r in reports)
+        assert search_tables(3, objective, budget=10**9, seed=5) == result
+
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "search_codes.py"
+
+
+class TestSearchScript:
+    def test_json_smoke(self):
+        src = str(SCRIPT.parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), "--d", "3", "--budget", "50", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        table = EncodingTable(d=3, pairs=tuple(map(tuple, out["table"])))
+        assert validate(table).valid
+        assert out["d"] == 3 and out["objective"] == "p_min"
+        assert out["score"] == out["p_min"] >= 0.424
+
+    def test_invalid_result_is_one_error_line(self, capsys, monkeypatch):
+        import runpy
+
+        main = runpy.run_path(str(SCRIPT))["main"]
+        broken = EncodingTable(d=3, pairs=builtin_table(3).pairs[::2] + builtin_table(3).pairs[1::2])
+        monkeypatch.setitem(main.__globals__, "search_tables", lambda d, **kw: SearchResult(broken, 0.5, "p_min", 1))
+        monkeypatch.setattr(sys, "argv", ["search_codes.py", "--d", "3", "--budget", "5"])
+        assert main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+# SearchResult (table, score, evaluations) recorded before the climb scored its
+# moves in batches, for d = 3..5, both objectives, budgets 50/500, seeds 0/1
+GOLDEN_SEARCH = json.loads((Path(__file__).parent / "golden_search.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_SEARCH, ids=lambda c: f"d{c['d']}-{c['objective']}-b{c['budget']}-s{c['seed']}"
+)
+def test_search_matches_golden(case):
+    result = search_tables(case["d"], case["objective"], case["budget"], case["seed"])
+    assert result.table.pairs == tuple(tuple(p) for p in case["table"])
+    assert result.score == case["score"]
+    assert result.evaluations == case["evaluations"]
 
 
 @settings(max_examples=30, deadline=None)

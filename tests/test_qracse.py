@@ -4,12 +4,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qracsim.codes import EncodingTable, builtin_table, generate_single_distance
+from qracsim.codes import EncodingTable, _random_cycle, builtin_table, generate_single_distance, validate
 from qracsim.qcore import bell_state, kron, states_equal
 from qracsim.pauli import frac_power_x, frac_power_z
 from qracsim.qracse import (
     QracTask,
+    _inverse_array,
+    _two_string_values,
     encode,
     f_qracse,
     measurement_basis,
@@ -186,6 +190,60 @@ class TestTwoStrings:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             run_protocol(QracTask(d=9, table=generate_single_distance(9), variant="two_strings"))
+
+
+def random_valid_table(d, seed):
+    cells = _random_cycle(d, np.random.default_rng(seed))
+    table = EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in cells))
+    assert validate(table).valid
+    return table
+
+
+def brute_force_per_string(d, table):
+    """Ket by ket: every encoded state against the guessed basis vector."""
+    kets = {
+        (a0, a1): encode(d, table, a0, a1)
+        for a0 in product(range(d), repeat=2)
+        for a1 in product(range(d), repeat=2)
+    }
+    values = {}
+    for c in (0, 1):
+        basis = measurement_basis(d, c)
+        for v in product(range(d), repeat=2):
+            strings = [(v, other) if c == 0 else (other, v) for other in product(range(d), repeat=2)]
+            probs = [abs(basis[v[0] * d + v[1]].overlap(kets[s])) ** 2 for s in strings]
+            values[(str(c), f"{v[0]}{v[1]}")] = float(np.mean(probs))
+    return values
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_two_strings_match_brute_force(d, seed):
+    table = random_valid_table(d, seed)
+    report = run_protocol(QracTask(d=d, table=table, variant="two_strings"))
+    expected = brute_force_per_string(d, table)
+    assert report.per_string.keys() == expected.keys()
+    for key, value in expected.items():
+        assert abs(report.per_string[key] - value) <= 1e-12, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+@example(d=2, seeds=[0, 0])  # a transposed gather once summed the batch in another order
+def test_batched_rows_equal_single_calls_bitwise(d, seeds):
+    invs = np.stack([_inverse_array(random_valid_table(d, seed)) for seed in seeds])
+    per_string, per_choice = _two_string_values(invs)
+    for row, inv in enumerate(invs):
+        one_string, one_choice = _two_string_values(inv[None])
+        assert per_string[row].tobytes() == one_string[0].tobytes()
+        assert per_choice[row].tobytes() == one_choice[0].tobytes()
+
+
+def test_scorer_rejects_non_bijective_stack():
+    invs = np.stack([_inverse_array(builtin_table(2))] * 2)
+    invs[1, 0, 0] = invs[1, 0, 1]
+    with pytest.raises(ValueError, match="bijection"):
+        _two_string_values(invs)
 
 
 class TestTrivialStrategy:
