@@ -59,6 +59,8 @@ class AsymSpec:
         p = tuple(float(x) for x in self.probabilities)
         if len(p) < 2:
             raise ValueError("need at least two receivers")
+        if not all(np.isfinite(p)):
+            raise ValueError(f"probabilities must be finite, got {list(p)}")
         if any(x < 0 for x in p):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(p) - 1.0) > PROB_SUM_TOL:

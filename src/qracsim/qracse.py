@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +35,9 @@ VARIANTS = ("two_strings", "four_dits_pairs", "four_dits_single", "boolean_f")
 
 OUTCOME_NORMALISATION_TOL = 1e-10
 
-# bit positions within (a0, a1, a2, a3): X register carries (a0, a2), Z register (a1, a3)
-_PAIR_CHOICES = ("01", "23", "03", "12", "02", "13")
+# bit pair -> Bob's register choices (sx, sz); X register carries bits 0 and 2,
+# Z register bits 1 and 3, and the within-register pairs 02 and 13 measure (0, 0)
+_PAIR_BASES = {"01": (0, 0), "23": (1, 1), "03": (0, 1), "12": (1, 0), "02": (0, 0), "13": (0, 0)}
 _SUBSETS_3_OF_4 = tuple("".join(str(i) for i in s) for s in combinations(range(4), 3))
 
 
@@ -189,11 +190,6 @@ def _inverse_array(table: EncodingTable) -> np.ndarray:
     return inv
 
 
-def _require_bijective(table: EncodingTable):
-    if not validate(table).bijective:
-        raise ValueError("encoding table must be a bijection onto the digit pairs")
-
-
 @lru_cache(maxsize=None)
 def _digit_grids(d: int) -> tuple[np.ndarray, ...]:
     grids = np.meshgrid(*([np.arange(d)] * 4), indexing="ij")  # a0_0, a0_1, a1_0, a1_1
@@ -234,6 +230,18 @@ def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return per_string, per_choice
 
 
+def _report(task: QracTask, per_choice: dict, per_string: dict, **details) -> ProtocolReport:
+    return ProtocolReport(
+        d=task.d,
+        variant=task.variant,
+        per_string=per_string,
+        per_choice=per_choice,
+        p_avg=float(np.mean(list(per_choice.values()))),
+        p_min=min(per_string.values()),
+        details={"table": [list(p) for p in task.table.pairs], **details},
+    )
+
+
 def _run_two_strings(task: QracTask) -> ProtocolReport:
     d = task.d
     values, choices = _two_string_values(_inverse_array(task.table)[None])
@@ -241,217 +249,93 @@ def _run_two_strings(task: QracTask) -> ProtocolReport:
     per_string = {
         (str(c), f"{v0}{v1}"): float(values[0, c, v0, v1]) for c in (0, 1) for v0 in range(d) for v1 in range(d)
     }
-    p_avg = float(np.mean(list(per_choice.values())))
-    p_min = min(per_string.values())
-    return ProtocolReport(
-        d=d,
-        variant="two_strings",
-        per_string=per_string,
-        per_choice=per_choice,
-        p_avg=p_avg,
-        p_min=p_min,
-        details={
-            "table": [list(p) for p in task.table.pairs],
-            "outcome_normalisation_error": max(_success_tensor(d, c, c).normalisation_error for c in (0, 1)),
-        },
-    )
+    norm_err = max(_success_tensor(d, c, c).normalisation_error for c in (0, 1))
+    return _report(task, per_choice, per_string, outcome_normalisation_error=norm_err)
 
 
-def _pair_success_grids(task: QracTask) -> dict[str, np.ndarray]:
-    """Joint decode success per input grid for each of the six bit pairs (d=2).
+def _lookup(tensor: np.ndarray, inv: np.ndarray, words: np.ndarray, *outcome) -> np.ndarray:
+    """tensor[e0, e1, *outcome] per word (w0, w1, w2, w3), e0 = inv[w0, w2] and e1 = inv[w1, w3]."""
+    w0, w1, w2, w3 = words
+    return tensor[(inv[w0, w2], inv[w1, w3], *outcome)]
 
-    Bits are (a0, a1, a2, a3) = (first digits of both strings interleaved):
-    the X register encodes (a0, a2) and the Z register (a1, a3).  The four
-    pairs split across registers each have a dedicated mixed basis; the two
-    within-register pairs are served by measuring the (a0, a1) basis, keeping
-    the measured digit and guessing the remaining bit uniformly.  For those
-    the reported success is the joint probability that the measured pair
-    decodes correctly times the uniform 1/d guess, the accounting behind the
-    published row; the larger single-digit marginal rule is kept in details.
+
+def _aggregate(success: np.ndarray, labels: np.ndarray) -> tuple[float, dict[int, float]]:
+    """Mean success of one choice, and its mean per requested value (label)
+    over the inputs requesting it, for the labels that occur."""
+    counts = np.bincount(labels)
+    sums = np.bincount(labels, weights=success)
+    return float(success.mean()), {int(v): float(sums[v] / counts[v]) for v in np.flatnonzero(counts)}
+
+
+def _run_four_bit(task: QracTask) -> ProtocolReport:
+    """The d=2 variants that split four encoded bits (w0, w1, w2, w3) differently.
+
+    The word is encoded as the strings (w0, w1) and (w2, w3): the X register
+    carries (w0, w2), the Z register (w1, w3), and Bob's basis with register
+    choices (sx, sz) decodes the outcome as (w[2 sx], w[1 + 2 sz]).
+
+    Pairs: the four pairs split across registers each have a dedicated
+    basis; the two within-register pairs measure the (w0, w1) basis, keep the
+    measured digit and guess the other bit uniformly.  For those the reported
+    success is the joint probability that the measured pair decodes times the
+    uniform 1/d guess, the accounting behind the published row; the larger
+    single-digit marginal rule is kept in details.
+
+    Single bit: Bob measures the basis of the pair containing the requested
+    bit and succeeds when the whole pair decodes, the conservative accounting
+    the published row quotes; the raw single-digit marginals are kept in
+    details.  The Boolean variant runs the single-bit rule on the word induced
+    by the four raw bits: f's value on each 3-element subset, of which Bob
+    asks for one.
     """
     d = task.d
+    if not validate(task.table).bijective:
+        raise ValueError("encoding table must be a bijection onto the digit pairs")
     inv = _inverse_array(task.table)
-    a0, a1, a2, a3 = _digit_grids(d)
-    e0 = inv[a0, a2]
-    e1 = inv[a1, a3]
+    words = np.stack([g.ravel() for g in _digit_grids(d)])
+    if task.variant == "boolean_f":
+        s0, s1, s2 = np.array(list(combinations(range(4), 3))).T  # the subsets, in _SUBSETS_3_OF_4 order
+        words = np.asarray(task.boolean_function)[4 * words[s0] + 2 * words[s1] + words[s2]]
 
-    grids: dict[str, np.ndarray] = {}
-    # dedicated bases: (sx, sz) -> decoded bit values (X side, Z side)
-    layout = {"01": (0, 0), "23": (1, 1), "03": (0, 1), "12": (1, 0)}
-    sides = {0: {0: a0, 1: a2}, 1: {0: a1, 1: a3}}
-    for key, (sx, sz) in layout.items():
-        tensor = _success_tensor(d, sx, sz).probs
-        grids[key] = tensor[e0, e1, sides[0][sx], sides[1][sz]]
-    base = _success_tensor(d, 0, 0).probs[e0, e1, a0, a1]
-    grids["02"] = base / d
-    grids["13"] = base / d
-    return grids
+    def decoded(sx: int, sz: int) -> np.ndarray:
+        return _lookup(_success_tensor(d, sx, sz).probs, inv, words, words[2 * sx], words[1 + 2 * sz])
 
+    def marginal(s: int) -> float:
+        return float(_lookup(_success_tensor(d, s, s).probs.sum(axis=3), inv, words, words[2 * s]).mean())
 
-def _run_four_dits_pairs(task: QracTask) -> ProtocolReport:
-    d = task.d
-    _require_bijective(task.table)
-    grids = _pair_success_grids(task)
-    bits = _digit_grids(d)
-
-    per_string: dict[tuple[str, str], float] = {}
-    per_choice: dict[str, float] = {}
-    for key in _PAIR_CHOICES:
-        i, j = int(key[0]), int(key[1])
-        g = grids[key]
-        per_choice[key] = float(g.mean())
-        sums = np.zeros((d, d))
-        np.add.at(sums, (bits[i], bits[j]), g)
-        for vi in range(d):
-            for vj in range(d):
-                per_string[(key, f"{vi}{vj}")] = float(sums[vi, vj] / d**2)
-
-    # single-digit marginal alternative for the within-register pairs
-    kept0 = _success_tensor(d, 0, 0).probs.sum(axis=3)  # P[e0, e1, b0] summed over b1
-
-    p_avg = float(np.mean(list(per_choice.values())))
-    p_min = min(per_string.values())
-    inv = _inverse_array(task.table)
-    return ProtocolReport(
-        d=d,
-        variant="four_dits_pairs",
-        per_string=per_string,
-        per_choice=per_choice,
-        p_avg=p_avg,
-        p_min=p_min,
-        details={
-            "table": [list(p) for p in task.table.pairs],
+    # choices map each choice key to (success per word, requested bit positions)
+    if task.variant == "four_dits_pairs":
+        choices = {
+            key: (decoded(*basis) / (d if key in ("02", "13") else 1), (int(key[0]), int(key[1])))
+            for key, basis in _PAIR_BASES.items()
+        }
+        details = {
             "within_register_rule": "joint pair decode times uniform guess",
-            "within_register_marginal_rule": float(
-                kept0[inv[bits[0], bits[2]], inv[bits[1], bits[3]], bits[0]].mean() / d
-            ),
-        },
-    )
+            "within_register_marginal_rule": marginal(0) / d,
+        }
+    else:
+        single = task.variant == "four_dits_single"
+        keys = ("0", "1", "2", "3") if single else _SUBSETS_3_OF_4
+        choices = {key: (decoded(pos // 2, pos // 2), (pos,)) for pos, key in enumerate(keys)}
+        if single:
+            details = {"bit_marginal_rule": {"0": marginal(0), "2": marginal(1)}}
+        else:
+            details = {"truth_table": list(task.boolean_function)}
 
-
-def _single_bit_success(task: QracTask) -> dict[str, np.ndarray]:
-    """Per-input success of recovering each bit through its covering pair.
-
-    Bob measures the basis of the pair containing the requested bit and
-    succeeds when the whole pair decodes; this conservative accounting is
-    what the published single-bit row quotes.  The raw single-digit
-    marginals are exposed separately.
-    """
-    d = task.d
-    inv = _inverse_array(task.table)
-    a0, a1, a2, a3 = _digit_grids(d)
-    e0 = inv[a0, a2]
-    e1 = inv[a1, a3]
-    front = _success_tensor(d, 0, 0).probs[e0, e1, a0, a1]
-    back = _success_tensor(d, 1, 1).probs[e0, e1, a2, a3]
-    return {"0": front, "1": front, "2": back, "3": back}
-
-
-def _run_four_dits_single(task: QracTask) -> ProtocolReport:
-    d = task.d
-    _require_bijective(task.table)
-    grids = _single_bit_success(task)
-    bits = _digit_grids(d)
-    inv = _inverse_array(task.table)
-    e0 = inv[bits[0], bits[2]]
-    e1 = inv[bits[1], bits[3]]
-
-    per_string: dict[tuple[str, str], float] = {}
     per_choice: dict[str, float] = {}
-    for key, g in grids.items():
-        i = int(key)
-        per_choice[key] = float(g.mean())
-        sums = np.zeros(d)
-        np.add.at(sums, bits[i], g)
-        for v in range(d):
-            per_string[(key, str(v))] = float(sums[v] / d**3)
-
-    marg_front = _success_tensor(d, 0, 0).probs.sum(axis=3)[e0, e1, bits[0]]
-    marg_back = _success_tensor(d, 1, 1).probs.sum(axis=3)[e0, e1, bits[2]]
-    p_avg = float(np.mean(list(per_choice.values())))
-    p_min = min(per_string.values())
-    return ProtocolReport(
-        d=d,
-        variant="four_dits_single",
-        per_string=per_string,
-        per_choice=per_choice,
-        p_avg=p_avg,
-        p_min=p_min,
-        details={
-            "table": [list(p) for p in task.table.pairs],
-            "bit_marginal_rule": {
-                "0": float(marg_front.mean()),
-                "2": float(marg_back.mean()),
-            },
-        },
-    )
-
-
-def _run_boolean_f(task: QracTask) -> ProtocolReport:
-    """Encode the four Boolean-function values induced by the 3-bit subsets.
-
-    Alice holds four raw bits; each of the four 3-element subsets induces one
-    function value, and the induced 4-bit word is run through the single-bit
-    machinery.  Bob asks for the function value at a subset of his choice.
-    """
-    d = task.d
-    _require_bijective(task.table)
-    f = task.boolean_function
-    assert f is not None
-    inv = _inverse_array(task.table)
-
-    per_sum: dict[tuple[str, str], float] = {}
-    per_count: dict[tuple[str, str], int] = {}
-    per_choice_sum = {key: 0.0 for key in _SUBSETS_3_OF_4}
-    for raw in product((0, 1), repeat=4):
-        induced = []
-        for key in _SUBSETS_3_OF_4:
-            idx = tuple(int(ch) for ch in key)
-            lookup = raw[idx[0]] * 4 + raw[idx[1]] * 2 + raw[idx[2]]
-            induced.append(f[lookup])
-        y0, y1, y2, y3 = induced
-        e0 = inv[y0, y2]
-        e1 = inv[y1, y3]
-        front = float(_success_tensor(d, 0, 0).probs[e0, e1, y0, y1])
-        back = float(_success_tensor(d, 1, 1).probs[e0, e1, y2, y3])
-        succ = {"0": front, "1": front, "2": back, "3": back}
-        for pos, key in enumerate(_SUBSETS_3_OF_4):
-            p = succ[str(pos)]
-            per_choice_sum[key] += p
-            sk = (key, str(induced[pos]))
-            per_sum[sk] = per_sum.get(sk, 0.0) + p
-            per_count[sk] = per_count.get(sk, 0) + 1
-
-    n_raw = 16
-    per_choice = {key: per_choice_sum[key] / n_raw for key in _SUBSETS_3_OF_4}
-    per_string = {k: per_sum[k] / per_count[k] for k in per_sum}
-    p_avg = float(np.mean(list(per_choice.values())))
-    p_min = min(per_string.values())
-    return ProtocolReport(
-        d=d,
-        variant="boolean_f",
-        per_string=per_string,
-        per_choice=per_choice,
-        p_avg=p_avg,
-        p_min=p_min,
-        details={
-            "table": [list(p) for p in task.table.pairs],
-            "truth_table": list(f),
-        },
-    )
+    per_string: dict[tuple[str, str], float] = {}
+    for key, (success, bits) in choices.items():
+        labels = np.ravel_multi_index(words[list(bits)], (2,) * len(bits))  # requested bits, binary
+        per_choice[key], means = _aggregate(success, labels)
+        per_string.update({(key, format(v, f"0{len(bits)}b")): p for v, p in means.items()})
+    return _report(task, per_choice, per_string, **details)
 
 
 def run_protocol(task: QracTask) -> ProtocolReport:
     """Evaluate a task exactly by enumerating all inputs and outcomes."""
     if not 2 <= task.d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
-    runner = {
-        "two_strings": _run_two_strings,
-        "four_dits_pairs": _run_four_dits_pairs,
-        "four_dits_single": _run_four_dits_single,
-        "boolean_f": _run_boolean_f,
-    }[task.variant]
-    return runner(task)
+    return (_run_two_strings if task.variant == "two_strings" else _run_four_bit)(task)
 
 
 def run_four_bit_variants(d: int, table: EncodingTable | None = None) -> dict[str, ProtocolReport]:

@@ -90,34 +90,29 @@ def _weyl_labels(d: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(d) for b in range(d)]
 
 
-def _bob_side_bell_projector(d: int, a: int, b: int) -> np.ndarray:
-    """(1 (x) X^a Z^b)|psi+><psi+| (1 (x) X^a Z^b)^dagger."""
-    w = weyl(d, a, b)
+def _bell_projector(d: int, w: np.ndarray) -> np.ndarray:
+    """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger."""
     ket = np.kron(np.eye(d), w) @ bell_state(d).amplitudes
     return np.outer(ket, ket.conj())
 
 
 def constrained_povm(d: int, k: int) -> Povm:
-    """k-outcome POVM: k-1 transposed Bell projectors plus the transposed complement."""
+    """k-outcome POVM: k-1 transposed Bell projectors plus the transposed complement.
+
+    The d^2 x d^2 elements are dense, so the dimension is capped at 8.
+    """
+    if not 2 <= d <= 8:
+        raise ValueError("supported dimensions are 2 <= d <= 8")
     if not 1 <= k <= d * d:
         raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
-    projectors = [_bob_side_bell_projector(d, a, b) for a, b in _weyl_labels(d)]
-    elements = [projectors[i].T for i in range(k - 1)]
-    last = np.eye(d * d) - sum(projectors[i] for i in range(k - 1))
-    elements.append(last.T)
-    return Povm(d=d, elements=tuple(elements))
+    projectors = [_bell_projector(d, weyl(d, a, b)) for a, b in _weyl_labels(d)[: k - 1]]
+    last = np.eye(d * d) - sum(projectors)
+    return Povm(d=d, elements=tuple(m.T for m in [*projectors, last]))
 
 
 def correction_unitaries(d: int, k: int) -> list[np.ndarray]:
     """Bob's corrections: the inverse Weyl operator per outcome label."""
     return [weyl(d, a, b).conj().T for a, b in _weyl_labels(d)[:k]]
-
-
-def _corrected_target(d: int, u: np.ndarray) -> np.ndarray:
-    """(1 (x) u)^dagger |psi+><psi+| (1 (x) u): the target pulled back
-    through a correction u on the second site."""
-    v = np.kron(np.eye(d), u.conj().T) @ bell_state(d).amplitudes
-    return np.outer(v, v.conj())
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
@@ -139,7 +134,9 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     total = 0.0
     for element, u_b in zip(povm.elements, corrections):
         measured = apply(element, (3, 0), state, dims)
-        total += expectation(_corrected_target(d, u_b), (2, 1), state, dims, ket=measured).real
+        # the target pulled back through the correction: (1 (x) u)^dagger T (1 (x) u)
+        target = _bell_projector(d, u_b.conj().T)
+        total += expectation(target, (2, 1), state, dims, ket=measured).real
 
     exact = Fraction(k, d * d)
     f = float(f_from_F(exact, d))
@@ -270,14 +267,14 @@ def _composite_full_state_fidelity(d: int) -> float:
     psi = bell_state(d).amplitudes
     state = np.kron(np.kron(psi, psi), np.kron(psi, psi))
     labels = _weyl_labels(d)
-    targets = {(ga, gb): _corrected_target(d, weyl(d, ga, gb).conj().T) for ga, gb in labels}
+    targets = {(ga, gb): _bell_projector(d, weyl(d, ga, gb)) for ga, gb in labels}
     pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
 
     total = {0: 0.0, 1: 0.0}
     for a1, b1 in labels:
-        first = apply(_bob_side_bell_projector(d, a1, b1).T, (1, 2), state, dims)
+        first = apply(_bell_projector(d, weyl(d, a1, b1)).T, (1, 2), state, dims)
         for a2, b2 in labels:
-            branch = apply(_bob_side_bell_projector(d, a2, b2).T, (5, 6), first, dims)
+            branch = apply(_bell_projector(d, weyl(d, a2, b2)).T, (5, 6), first, dims)
             e0 = inv[a1, a2]
             e1 = inv[b1, b2]
             for c in (0, 1):

@@ -165,6 +165,14 @@ class TestAsymOptimize:
         with pytest.raises(ValueError):
             asym_optimize(AsymSpec(d=2, probabilities=(1 / 9,) * 9))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_spec_rejects_non_finite_probabilities(self, bad):
+        # nan slips past both x < 0 and the sum check unless tested for itself
+        with pytest.raises(ValueError, match="finite"):
+            AsymSpec(d=2, probabilities=(bad, 0.5, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            AsymSpec(d=3, probabilities=(0.5, bad))
+
 
 def bell_diagonal(weights):
     psi = bell_state(2).amplitudes

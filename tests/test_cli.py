@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qracsim import qracse, teleport
 from qracsim.cli import main
@@ -177,3 +181,86 @@ class TestNumericalFailures:
     def test_bad_input_keeps_exit_code_two(self, capsys):
         assert main(["teleport", "--d", "2", "--k", "9"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_teleport_dimension_cap_is_one_error_line(self, capsys):
+        # d = 9 is the smallest rejected dimension; it would still fit in memory
+        assert main(["teleport", "--d", "9", "--k", "81"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: supported dimensions are 2 <= d <= 8\n"
+
+    def test_non_finite_probability_is_one_error_line(self, capsys):
+        assert main(["bounds", "asym", "--d", "2", "--p", "nan", "0.5", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: probabilities must be finite")
+        assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------- fuzz
+#
+# Bounded argument ranges, in and out of each command's domain.  Every call
+# must end with exit code 0, 1 or 2 (argparse usage errors exit with 2); a
+# nonzero return from main prints exactly one line, the error line.
+
+FORMATS = st.sampled_from(["table", "json", "csv"])
+PROBABILITIES = st.one_of(
+    st.sampled_from(["nan", "inf", "-0.5", "1.5", "0", "1", "0.5", "0.25", "0.75"]),
+    st.floats(0, 1).map(repr),
+)
+
+
+def call_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    event(f"exit {code}")
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(-1, 10), k=st.one_of(st.integers(-2, 5), st.integers(-2, 70)), fmt=FORMATS)
+def test_fuzz_teleport(d, k, fmt):
+    call_main(["teleport", "--d", str(d), "--k", str(k), "--format", fmt])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(0, 9),
+    variant=st.sampled_from(["two-strings", "pairs", "single", "f"]),
+    table=st.sampled_from(["builtin", "generated", "search"]),
+    objective=st.sampled_from(["p_min", "p_avg"]),
+    budget=st.integers(-2, 50),
+    seed=st.integers(0, 3),
+    truth=st.text(alphabet="012x", max_size=10),
+    fmt=FORMATS,
+)
+def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt):
+    argv = ["qracse", "--d", str(d), "--variant", variant, "--table", table, "--objective", objective]
+    argv += ["--budget", str(budget), "--seed", str(seed), "--format", fmt]
+    call_main(argv + (["--truth-table", truth] if truth else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["werner", "symmetric", "asym"]),
+    d=st.integers(-1, 10),
+    n1=st.integers(-1, 10),
+    n2=st.integers(-1, 10),
+    p=st.lists(PROBABILITIES, min_size=0, max_size=10),
+    fmt=FORMATS,
+)
+def test_fuzz_bounds(kind, d, n1, n2, p, fmt):
+    argv = ["bounds", kind, "--d", str(d), "--format", fmt]
+    if kind == "werner":
+        argv += ["--n1", str(n1), "--n2", str(n2)]
+    elif kind == "symmetric":
+        argv += ["--N", str(n1)]
+    else:
+        argv += ["--p", *p]
+    call_main(argv)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qracsim.codes import EncodingTable, _random_cycle, builtin_table, generate_single_distance, validate
-from qracsim.qcore import bell_state, kron, states_equal
+from qracsim.codes import EncodingTable, _all_cycles, _random_cycle, builtin_table, generate_single_distance, validate
+from qracsim.qcore import apply_to_bell_half, bell_state, kron, states_equal
 from qracsim.pauli import frac_power_x, frac_power_z
 from qracsim.qracse import (
     QracTask,
@@ -306,6 +306,94 @@ class TestFourBitVariants:
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
             run_four_bit_variants(3)
+
+
+# ---------------------------------------------------------------- d = 2 oracle
+#
+# Ket by ket, without the success tensors: each input word (w0, w1, w2, w3)
+# is encoded as encode(2, table, (w0, w1), (w2, w3)), so the X register
+# carries (w0, w2) and the Z register (w1, w3).  Bob's basis (sx, sz) is
+# built from measurement_exponent per register, and the outcome he reads is
+# (w[2 sx], w[1 + 2 sz]).
+
+VALID_D2_TABLES = [EncodingTable(d=2, pairs=tuple(divmod(int(c), 2) for c in row)) for row in _all_cycles(2)]
+WORDS = list(product((0, 1), repeat=4))
+
+
+def basis_ket(sx, sz, b0, b1):
+    w = frac_power_x(2, measurement_exponent(2, sx, b0)) @ frac_power_z(2, measurement_exponent(2, sz, b1))
+    return apply_to_bell_half(w, 2)
+
+
+def decode_success(table, word, sx, sz):
+    ket = encode(2, table, word[:2], word[2:])
+    return abs(basis_ket(sx, sz, word[2 * sx], word[1 + 2 * sz]).overlap(ket)) ** 2
+
+
+def pairs_samples(table):
+    bases = {"01": (0, 0), "23": (1, 1), "03": (0, 1), "12": (1, 0)}
+    samples = []
+    for w in WORDS:
+        for key in ("01", "23", "03", "12", "02", "13"):
+            i, j = int(key[0]), int(key[1])
+            # within-register pairs: decode (w0, w1) and guess the other bit
+            p = decode_success(table, w, *bases[key]) if key in bases else decode_success(table, w, 0, 0) / 2
+            samples.append((key, f"{w[i]}{w[j]}", p))
+    return samples
+
+
+def single_samples(table):
+    return [(str(i), str(w[i]), decode_success(table, w, i // 2, i // 2)) for w in WORDS for i in range(4)]
+
+
+def boolean_samples(table, f):
+    """Each raw input induces the word of f's values on the four 3-subsets."""
+    subsets = ("012", "013", "023", "123")
+    samples = []
+    for raw in WORDS:
+        word = tuple(f[4 * raw[int(s[0])] + 2 * raw[int(s[1])] + raw[int(s[2])]] for s in subsets)
+        for pos, key in enumerate(subsets):
+            samples.append((key, str(word[pos]), decode_success(table, word, pos // 2, pos // 2)))
+    return samples
+
+
+def assert_matches_oracle(report, samples):
+    """Per-string entries are means over the inputs requesting that value,
+    per-choice entries means over all inputs of the choice."""
+    by_string, by_choice = {}, {}
+    for choice, value, p in samples:
+        by_string.setdefault((choice, value), []).append(p)
+        by_choice.setdefault(choice, []).append(p)
+    assert report.per_string.keys() == by_string.keys()
+    assert report.per_choice.keys() == by_choice.keys()
+    for key, ps in by_string.items():
+        assert abs(report.per_string[key] - np.mean(ps)) <= 1e-12, key
+    for key, ps in by_choice.items():
+        assert abs(report.per_choice[key] - np.mean(ps)) <= 1e-12, key
+    assert abs(report.p_avg - np.mean([np.mean(ps) for ps in by_choice.values()])) <= 1e-12
+    assert report.p_min == min(report.per_string.values())
+
+
+def test_eight_valid_d2_tables():
+    assert len(VALID_D2_TABLES) == 8
+    assert all(validate(t).valid for t in VALID_D2_TABLES)
+
+
+@pytest.mark.parametrize("index", range(8))
+@pytest.mark.parametrize("variant", ["pairs", "single"])
+def test_four_bit_variants_match_ket_oracle(index, variant):
+    table = VALID_D2_TABLES[index]
+    report = run_four_bit_variants(2, table)[variant]
+    assert_matches_oracle(report, pairs_samples(table) if variant == "pairs" else single_samples(table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 7), f=st.lists(st.integers(0, 1), min_size=8, max_size=8))
+@example(index=0, f=[0, 0, 0, 1, 0, 1, 1, 1])
+@example(index=3, f=[0] * 8)
+def test_boolean_variant_matches_ket_oracle(index, f):
+    table = VALID_D2_TABLES[index]
+    assert_matches_oracle(f_qracse(f, table=table), boolean_samples(table, f))
 
 
 class TestBooleanFunction:

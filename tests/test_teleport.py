@@ -50,6 +50,13 @@ class TestConstrainedPovm:
         with pytest.raises(ValueError):
             constrained_povm(2, 0)
 
+    @pytest.mark.parametrize("d", [0, 1, 9])
+    def test_dimension_outside_the_cap(self, d):
+        with pytest.raises(ValueError, match="supported dimensions are 2 <= d <= 8"):
+            constrained_povm(d, 1)
+        with pytest.raises(ValueError, match="supported dimensions are 2 <= d <= 8"):
+            constrained_teleport_fidelity(d, 1)
+
     def test_povm_type_rejects_incomplete(self):
         with pytest.raises(ValueError):
             Povm(d=2, elements=(np.eye(4) / 2,))
