@@ -156,7 +156,7 @@ def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     """
     n, d = spec.n, spec.d
     if n > 8:
-        raise ValueError("optimizer supports up to 8 receivers")
+        raise ValueError("supported receiver counts are 2 <= N <= 8")
     p = np.asarray(spec.probabilities)
     u = np.sqrt(p)
     c = (d - 1) / d

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -126,8 +127,9 @@ def cmd_qracse(args) -> int:
     }[args.variant]
     table = _resolve_table(args)
     if variant == "boolean_f":
-        truth = tuple(int(ch) for ch in args.truth_table)
-        report = qracse.f_qracse(truth, d=args.d, table=table)
+        if len(args.truth_table) != 8 or set(args.truth_table) - {"0", "1"}:
+            raise ValueError(f"--truth-table must be 8 binary digits such as 00010111, got {args.truth_table!r}")
+        report = qracse.f_qracse(tuple(map(int, args.truth_table)), d=args.d, table=table)
     else:
         report = qracse.run_protocol(qracse.QracTask(d=args.d, table=table, variant=variant))
     trivial = qracse.trivial_strategy(args.d, variant)
@@ -459,8 +461,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_numbers_as_values(argv: list[str]) -> list[str]:
+    """argparse reads only -<digits>[.<digits>] as a negative number and takes
+    other negative numbers (-inf, -nan, -1e-3) for unknown options; a leading
+    space keeps them values, and int() and float() ignore it."""
+
+    def misread(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return arg.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)
+
+    return [" " + arg if misread(arg) else arg for arg in argv]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_negative_numbers_as_values(argv))
     try:
         return args.func(args)
     except (ValueError, LookupError) as exc:

@@ -21,23 +21,6 @@ ExponentLike = int | float | Fraction
 
 
 @dataclass(frozen=True)
-class WeylExponent:
-    """Exponent t of a Weyl power, stored exactly and reduced mod d."""
-
-    d: int
-    t: Fraction
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        t = Fraction(self.t) % self.d
-        object.__setattr__(self, "t", t)
-
-    def __float__(self) -> float:
-        return float(self.t)
-
-
-@dataclass(frozen=True)
 class BellLabel:
     """Label (a, b) of the generalised Bell state (X^a Z^b (x) 1)|psi+>."""
 

@@ -3,17 +3,14 @@
 States, tensor products, local operators applied to state vectors,
 partial traces, fidelities and the conversion between entanglement
 fidelity F and transmission fidelity f.  Everything here is a pure
-function on immutable values, so concurrent use is safe.  Monte Carlo
-sampling draws from PCG64 streams derived deterministically from the user
-seed (one stream per fixed-size chunk), so estimates are reproducible
-regardless of how the chunks are scheduled.
+function on immutable values, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +19,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 PHASE_EQUALITY_TOL = 1e-10
-
-MC_CHUNK = 64
 
 RationalLike = int | float | Fraction
 
@@ -103,15 +98,6 @@ class Fidelity:
         if not (-NORM_TOL <= v <= 1.0 + NORM_TOL):
             raise ValueError(f"fidelity must lie in [0, 1], got {v!r}")
         object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
-
-
-@dataclass(frozen=True)
-class FidelityEstimate:
-    """Monte Carlo fidelity estimate with its standard error."""
-
-    value: float
-    std_error: float
-    samples: int = field(default=0)
 
 
 def states_equal(a: Ket, b: Ket, tol: float = PHASE_EQUALITY_TOL) -> bool:
@@ -246,37 +232,3 @@ def haar_random_ket(d: int, rng: np.random.Generator) -> Ket:
     """Haar-random pure state: normalised vector of i.i.d. complex Gaussians."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return Ket(v / np.linalg.norm(v))
-
-
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
-
-
-def transmission_fidelity_mc(
-    channel: Callable[[Ket], DensityMatrix],
-    d: int,
-    samples: int,
-    seed: int,
-) -> FidelityEstimate:
-    """Monte Carlo average of <phi|channel(|phi><phi|)|phi> over Haar-random |phi>.
-
-    Deterministic for a fixed seed: sample i is drawn from the PCG64 stream
-    of chunk i // MC_CHUNK, so the estimate does not depend on scheduling.
-    Returns the sample mean and its standard error.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    values = np.empty(samples)
-    for start in range(0, samples, MC_CHUNK):
-        rng = _chunk_rng(seed, start // MC_CHUNK)
-        for i in range(start, min(start + MC_CHUNK, samples)):
-            phi = haar_random_ket(d, rng)
-            out = channel(phi)
-            if out.dim != d:
-                raise ValueError("channel output dimension mismatch")
-            values[i] = np.real(np.vdot(phi.amplitudes, out.matrix @ phi.amplitudes))
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return FidelityEstimate(value=mean, std_error=std_error, samples=samples)

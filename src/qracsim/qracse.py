@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,54 +131,36 @@ def encode(d: int, table: EncodingTable, a0: tuple[int, int], a1: tuple[int, int
     return apply_to_bell_half(w, d)
 
 
-def _encoding_kets(d: int) -> np.ndarray:
-    """Stack of encoded states indexed by (e0, e1), shape (d^2, d^2, d^2)."""
-    xs = [frac_power_x(d, Fraction(e0, d)) for e0 in range(d * d)]
-    zdiag = [np.exp(2j * np.pi * np.arange(d) * e1 / d**2) for e1 in range(d * d)]
-    kets = np.empty((d * d, d * d, d * d), dtype=complex)
-    for e0 in range(d * d):
-        for e1 in range(d * d):
-            kets[e0, e1] = (xs[e0] * zdiag[e1][None, :]).reshape(-1) / np.sqrt(d)
-    return kets
+def _kappa(d: int, u) -> np.ndarray:
+    """kappa(u) = |mean_k exp(2 pi i k u / d)|^2, the squared overlap of two
+    register phases u apart (X^s against X^t, or Z^s against Z^t, on |psi+>)."""
+    u = np.asarray(u, dtype=float)
+    return np.abs(np.exp(2j * np.pi * u[..., None] * np.arange(d) / d).mean(axis=-1)) ** 2
 
 
-def _basis_kets(d: int, sx: int, sz: int) -> np.ndarray:
-    """Projector states for register-wise choices (sx for X, sz for Z), shape (d, d, d^2)."""
-    kets = np.empty((d, d, d * d), dtype=complex)
-    for b0 in range(d):
-        s = measurement_exponent(d, sx, b0)
-        wx = frac_power_x(d, s)
-        for b1 in range(d):
-            t = measurement_exponent(d, sz, b1)
-            zd = np.exp(2j * np.pi * np.arange(d) * float(t) / d)
-            kets[b0, b1] = (wx * zd[None, :]).reshape(-1) / np.sqrt(d)
-    return kets
-
-
-class Outcomes(NamedTuple):
-    """Outcome probabilities P[e0, e1, b0, b1] of one basis, with their
-    largest deviation from summing to one over (b0, b1)."""
-
-    probs: np.ndarray
-    normalisation_error: float
+def _normalisation_error(kernel: np.ndarray) -> float:
+    """Largest deviation of the outcome probabilities of one register from summing to one."""
+    return float(np.max(np.abs(kernel.sum(axis=1) - 1.0)))
 
 
 @lru_cache(maxsize=None)
-def _success_tensor(d: int, sx: int, sz: int) -> Outcomes:
-    """Outcome probabilities for the basis with register choices (sx, sz).
+def _kernel(d: int, s: int) -> np.ndarray:
+    """Success kernel of one register measured with choice s, shape (d^2, d).
 
-    Outcome probabilities of every encoded state must sum to one; the engine
-    refuses to continue if the basis fails that completeness check.
+    K[e, b] = kappa(e/d - s(b)) is the probability that the register encoded
+    with index e reads outcome b, s(b) = measurement_exponent(d, s, b).  The
+    overlap of Alice's state with Bob's projector factorises over the X and Z
+    registers, so the basis with register choices (sx, sz) gives outcome
+    (b0, b1) with probability K_sx[e0, b0] K_sz[e1, b1].  Every row must sum
+    to one; the engine refuses to continue if it does not.
     """
-    enc = _encoding_kets(d).reshape(d**4, d**2)
-    meas = _basis_kets(d, sx, sz).reshape(d**2, d**2)
-    amps = meas.conj() @ enc.T
-    tensor = (np.abs(amps) ** 2).T.reshape(d * d, d * d, d, d)
-    norm_err = float(np.max(np.abs(tensor.sum(axis=(2, 3)) - 1.0)))
+    u = [[Fraction(e, d) - measurement_exponent(d, s, b) for b in range(d)] for e in range(d * d)]
+    kernel = _kappa(d, np.array(u, dtype=float))
+    norm_err = _normalisation_error(kernel)
     if norm_err > OUTCOME_NORMALISATION_TOL:
         raise RuntimeError(f"measurement basis incomplete, normalisation error {norm_err:.3e}")
-    tensor.setflags(write=False)
-    return Outcomes(tensor, norm_err)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def _inverse_array(table: EncodingTable) -> np.ndarray:
@@ -190,43 +171,27 @@ def _inverse_array(table: EncodingTable) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=None)
-def _digit_grids(d: int) -> tuple[np.ndarray, ...]:
-    grids = np.meshgrid(*([np.arange(d)] * 4), indexing="ij")  # a0_0, a0_1, a1_0, a1_1
-    for g in grids:
-        g.setflags(write=False)
-    return tuple(grids)
-
-
 def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-string success of a stack of tables given as inverse arrays (M, d, d).
 
     Returns the per-string values, shape (M, 2, d, d) indexed by (table,
     choice, requested v0, v1), and the per-choice values, shape (M, 2).
-    Each per-string value adds its d^2 inputs one after another in row-major
-    order, so every row is bitwise independent of the rest of the batch.
+    Both registers are read with choice c, and the requested string's digits
+    v0, v1 sit in different registers, so the success of string v is
+    r_c[v0] r_c[v1] with r_0[v] = mean_y K_0[inv[v, y], v] (the first string
+    requested, the second unknown) and r_1[v] = mean_x K_1[inv[x, v], v].
+    Each mean adds its d terms one after another, so every row is bitwise
+    independent of the rest of the batch.
     """
     m, d, _ = invs.shape
-    n = d * d
-    flat = invs.reshape(m, n)
-    if not (flat[:, None, :] == np.arange(n)[:, None]).any(axis=2).all():  # every index e appears
+    if not (np.sort(invs.reshape(m, d * d), axis=1) == np.arange(d * d)).all():  # every index e once
         raise ValueError("encoding table must be a bijection onto the digit pairs")
-    al0, al1, be0, be1 = _digit_grids(d)
-    # flat index of (e0, e1) into P reshaped to (d^4, d^2), per table and input;
-    # np.take keeps every array C-ordered, so each row reduces as a lone table would
-    e0 = np.take(flat, (al0 * d + be0).ravel(), axis=1)
-    e1 = np.take(flat, (al1 * d + be1).ravel(), axis=1)
-    encoded = (e0 * n + e1) * n
-    per_string = np.empty((m, 2, d, d))
-    per_choice = np.empty((m, 2))
-    for c, (g0, g1) in enumerate(((al0, al1), (be0, be1))):
-        probs = np.take(_success_tensor(d, c, c).probs, encoded + (g0 * d + g1).ravel())
-        per_choice[:, c] = probs.mean(axis=1)
-        by_string = probs.reshape(m, d, d, d, d)
-        if c == 1:  # requested string's digits first
-            by_string = by_string.transpose(0, 3, 4, 1, 2)
-        sums = np.add.accumulate(by_string.reshape(m, d, d, n), axis=-1)[..., -1]
-        per_string[:, c] = sums / n
+    v = np.arange(d)[:, None]
+    # terms[:, c, v, j]: the j-th of the d kernel values averaged into r_c[v]
+    terms = np.stack([_kernel(d, 0)[invs, v], _kernel(d, 1)[invs.transpose(0, 2, 1), v]], axis=1)
+    r = np.add.accumulate(terms, axis=-1)[..., -1] / d
+    per_string = r[..., :, None] * r[..., None, :]
+    per_choice = (np.add.accumulate(r, axis=-1)[..., -1] / d) ** 2
     return per_string, per_choice
 
 
@@ -249,14 +214,8 @@ def _run_two_strings(task: QracTask) -> ProtocolReport:
     per_string = {
         (str(c), f"{v0}{v1}"): float(values[0, c, v0, v1]) for c in (0, 1) for v0 in range(d) for v1 in range(d)
     }
-    norm_err = max(_success_tensor(d, c, c).normalisation_error for c in (0, 1))
+    norm_err = max(_normalisation_error(_kernel(d, c)) for c in (0, 1))
     return _report(task, per_choice, per_string, outcome_normalisation_error=norm_err)
-
-
-def _lookup(tensor: np.ndarray, inv: np.ndarray, words: np.ndarray, *outcome) -> np.ndarray:
-    """tensor[e0, e1, *outcome] per word (w0, w1, w2, w3), e0 = inv[w0, w2] and e1 = inv[w1, w3]."""
-    w0, w1, w2, w3 = words
-    return tensor[(inv[w0, w2], inv[w1, w3], *outcome)]
 
 
 def _aggregate(success: np.ndarray, labels: np.ndarray) -> tuple[float, dict[int, float]]:
@@ -292,16 +251,19 @@ def _run_four_bit(task: QracTask) -> ProtocolReport:
     if not validate(task.table).bijective:
         raise ValueError("encoding table must be a bijection onto the digit pairs")
     inv = _inverse_array(task.table)
-    words = np.stack([g.ravel() for g in _digit_grids(d)])
+    words = np.indices((d,) * 4).reshape(4, -1)  # the 16 words (w0, w1, w2, w3), row-major
     if task.variant == "boolean_f":
         s0, s1, s2 = np.array(list(combinations(range(4), 3))).T  # the subsets, in _SUBSETS_3_OF_4 order
         words = np.asarray(task.boolean_function)[4 * words[s0] + 2 * words[s1] + words[s2]]
+    ex, ez = inv[words[0], words[2]], inv[words[1], words[3]]  # encoding index per register and word
 
     def decoded(sx: int, sz: int) -> np.ndarray:
-        return _lookup(_success_tensor(d, sx, sz).probs, inv, words, words[2 * sx], words[1 + 2 * sz])
+        """Probability that basis (sx, sz) reads (w[2 sx], w[1 + 2 sz]): one lookup per register."""
+        return _kernel(d, sx)[ex, words[2 * sx]] * _kernel(d, sz)[ez, words[1 + 2 * sz]]
 
     def marginal(s: int) -> float:
-        return float(_lookup(_success_tensor(d, s, s).probs.sum(axis=3), inv, words, words[2 * s]).mean())
+        """Probability that basis (s, s) reads w[2 s] in the X register, whatever the Z register reads."""
+        return float(_kernel(d, s)[ex, words[2 * s]].mean())
 
     # choices map each choice key to (success per word, requested bit positions)
     if task.variant == "four_dits_pairs":
@@ -332,7 +294,7 @@ def _run_four_bit(task: QracTask) -> ProtocolReport:
 
 
 def run_protocol(task: QracTask) -> ProtocolReport:
-    """Evaluate a task exactly by enumerating all inputs and outcomes."""
+    """Evaluate a task exactly from the per-register success kernels, over all inputs."""
     if not 2 <= task.d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
     return (_run_two_strings if task.variant == "two_strings" else _run_four_bit)(task)

@@ -257,11 +257,11 @@ def _composite_full_state_fidelity(d: int) -> float:
     Bell projectors on Alice's side, decoder statistics, Weyl corrections,
     all applied to the 8-site state vector."""
     from .codes import builtin_table
-    from .qracse import _inverse_array, _success_tensor
+    from .qracse import _inverse_array, _kernel
 
     table = builtin_table(d)
     inv = _inverse_array(table)
-    tensors = {c: _success_tensor(d, c, c).probs for c in (0, 1)}
+    kernels = {c: _kernel(d, c) for c in (0, 1)}
 
     dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
     psi = bell_state(d).amplitudes
@@ -279,7 +279,7 @@ def _composite_full_state_fidelity(d: int) -> float:
             e1 = inv[b1, b2]
             for c in (0, 1):
                 for ga, gb in labels:
-                    p_dec = float(tensors[c][e0, e1, ga, gb])
+                    p_dec = float(kernels[c][e0, ga] * kernels[c][e1, gb])
                     if p_dec < 1e-15:
                         continue
                     overlap = expectation(targets[ga, gb], pair_sites[c], state, dims, ket=branch).real

@@ -2,9 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qracsim import qracse, teleport
@@ -168,11 +169,11 @@ class TestNumericalFailures:
 
     def test_incomplete_basis_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(qracse, "OUTCOME_NORMALISATION_TOL", -1.0)
-        qracse._success_tensor.cache_clear()
+        qracse._kernel.cache_clear()
         try:
             code = main(["qracse", "--d", "2"])
         finally:
-            qracse._success_tensor.cache_clear()
+            qracse._kernel.cache_clear()
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: measurement basis incomplete")
@@ -194,6 +195,44 @@ class TestNumericalFailures:
         assert err.startswith("error: probabilities must be finite")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (["inf", "-inf"], "probabilities must be finite"),
+            (["-inf", "0.5"], "probabilities must be finite"),
+            (["-nan", "1"], "probabilities must be finite"),
+            (["-Infinity", "inf"], "probabilities must be finite"),
+            (["-1e-3", "1.001"], "probabilities must be nonnegative"),
+        ],
+    )
+    def test_negative_number_is_read_as_a_value(self, capsys, p, message):
+        # argparse alone takes -inf or -1e-3 for an unknown option
+        assert main(["bounds", "asym", "--d", "2", "--p", *p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("truth", ["0a010101", "0101", "000101110", "0001011 "])
+    def test_malformed_truth_table_names_the_option(self, capsys, truth):
+        assert main(["qracse", "--d", "2", "--variant", "f", "--truth-table", truth]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --truth-table must be 8 binary digits")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--d", "9", "--k", "81"],
+            ["qracse", "--d", "9", "--table", "generated"],
+            ["qracse", "--d", "6", "--table", "search"],
+            ["bounds", "asym", "--d", "2", "--p", "0.2", *["0.1"] * 8],
+        ],
+    )
+    def test_every_cap_has_one_message_form(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: supported [a-z ]+ are 2 <= [a-zA-Z] <= \d+( \([^()]+\))?\n", err), err
+
 
 # ---------------------------------------------------------------- fuzz
 #
@@ -203,7 +242,7 @@ class TestNumericalFailures:
 
 FORMATS = st.sampled_from(["table", "json", "csv"])
 PROBABILITIES = st.one_of(
-    st.sampled_from(["nan", "inf", "-0.5", "1.5", "0", "1", "0.5", "0.25", "0.75"]),
+    st.sampled_from(["nan", "inf", "-inf", "-nan", "-1e-3", "-0.5", "1.5", "0", "1", "0.5", "0.25", "0.75"]),
     st.floats(0, 1).map(repr),
 )
 
@@ -240,6 +279,7 @@ def test_fuzz_teleport(d, k, fmt):
     truth=st.text(alphabet="012x", max_size=10),
     fmt=FORMATS,
 )
+@example(d=2, variant="f", table="builtin", objective="p_min", budget=1, seed=0, truth="0a010101", fmt="table")
 def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt):
     argv = ["qracse", "--d", str(d), "--variant", variant, "--table", table, "--objective", objective]
     argv += ["--budget", str(budget), "--seed", str(seed), "--format", fmt]
@@ -255,6 +295,7 @@ def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt):
     p=st.lists(PROBABILITIES, min_size=0, max_size=10),
     fmt=FORMATS,
 )
+@example(kind="asym", d=2, n1=0, n2=0, p=["inf", "-inf"], fmt="table")
 def test_fuzz_bounds(kind, d, n1, n2, p, fmt):
     argv = ["bounds", kind, "--d", str(d), "--format", fmt]
     if kind == "werner":

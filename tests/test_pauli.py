@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qracsim.pauli import (
     BellLabel,
-    WeylExponent,
     bell_basis,
     bell_basis_element,
     clock_z,
@@ -150,14 +149,3 @@ class TestWeyl:
                 mags = np.abs(w)
                 assert np.allclose(np.sort(mags, axis=0)[-1], 1.0, atol=1e-12)
                 assert np.allclose((mags > 1e-9).sum(axis=0), 1)
-
-
-class TestWeylExponent:
-    def test_canonical_range(self):
-        e = WeylExponent(3, Fraction(-1, 3))
-        assert e.t == Fraction(8, 3)
-        assert 0 <= float(e) < 3
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            WeylExponent(1, Fraction(1, 2))

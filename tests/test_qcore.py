@@ -18,7 +18,6 @@ from qracsim.qcore import (
     kron,
     partial_trace,
     states_equal,
-    transmission_fidelity_mc,
 )
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -275,42 +274,6 @@ class TestStatesEqual:
         a = Ket(np.array([1, 0], dtype=complex))
         b = Ket(np.array([0, 1], dtype=complex))
         assert not states_equal(a, b)
-
-
-class TestTransmissionFidelityMc:
-    def test_identity_channel(self):
-        est = transmission_fidelity_mc(lambda k: DensityMatrix(k.projector()), 2, samples=50, seed=1)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.std_error == pytest.approx(0.0, abs=1e-12)
-
-    def test_depolarising_channel(self):
-        est = transmission_fidelity_mc(lambda k: DensityMatrix(np.eye(2) / 2), 2, samples=200, seed=2)
-        assert est.value == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_unitary_channel_matches_conversion(self, d):
-        rng = np.random.default_rng(21 + d)
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u, _ = np.linalg.qr(z)
-
-        def channel(ket, u=u):
-            return DensityMatrix(np.outer(u @ ket.amplitudes, (u @ ket.amplitudes).conj()))
-
-        choi = DensityMatrix(Ket(kron(u, np.eye(d)) @ bell_state(d).amplitudes).projector())
-        f_expected = float(f_from_F(Fraction(entanglement_fidelity(choi).value), d))
-        est = transmission_fidelity_mc(channel, d, samples=200, seed=7)
-        spread = max(est.std_error, 1e-12)
-        assert abs(est.value - f_expected) < 3 * spread + 1e-9
-
-    def test_deterministic_for_fixed_seed(self):
-        channel = lambda k: DensityMatrix(np.eye(2) / 2)  # noqa: E731
-        a = transmission_fidelity_mc(channel, 2, samples=130, seed=5)
-        b = transmission_fidelity_mc(channel, 2, samples=130, seed=5)
-        assert a == b
-
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            transmission_fidelity_mc(lambda k: DensityMatrix(np.eye(2) / 2), 2, samples=0, seed=0)
 
 
 def test_haar_random_ket_is_normalised():

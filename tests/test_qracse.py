@@ -7,12 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qracsim.codes import EncodingTable, _all_cycles, _random_cycle, builtin_table, generate_single_distance, validate
+from qracsim.codes import (
+    EncodingTable,
+    _all_cycles,
+    _random_cycle,
+    builtin_table,
+    generate_single_distance,
+    search_tables,
+    validate,
+)
 from qracsim.qcore import apply_to_bell_half, bell_state, kron, states_equal
 from qracsim.pauli import frac_power_x, frac_power_z
 from qracsim.qracse import (
     QracTask,
     _inverse_array,
+    _kappa,
+    _kernel,
     _two_string_values,
     encode,
     f_qracse,
@@ -246,6 +256,73 @@ def test_scorer_rejects_non_bijective_stack():
         _two_string_values(invs)
 
 
+# ---------------------------------------------------------------- kernels
+#
+# The engine reads every success probability from one (d^2, d) kernel per
+# register choice, K_s[e, b] = kappa(e/d - s(b)).  kappa is checked against
+# its closed form, and the product outer(K_sx, K_sz) against overlaps of
+# kets built one by one from encode and the fractional Weyl powers.
+
+
+def kappa_closed_form(d, u):
+    """sin^2(pi u) / (d^2 sin^2(pi u / d)) for an exact rational u; its limit
+    is 1 at u = 0 (mod d) and 0 at the other integers."""
+    if u.denominator == 1:
+        return 1.0 if u % d == 0 else 0.0
+    return np.sin(np.pi * float(u)) ** 2 / (d * d * np.sin(np.pi * float(u) / d) ** 2)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kappa_matches_closed_form(d):
+    # two periods either side of zero in steps of 1/(2 d^2), integers included
+    us = [Fraction(k, 2 * d * d) for k in range(-4 * d**3, 4 * d**3 + 1)]
+    got = _kappa(d, [float(u) for u in us])
+    expected = np.array([kappa_closed_form(d, u) for u in us])
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    assert _kappa(d, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(_kappa(d, np.arange(1.0, d)))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("s", [0, 1])
+def test_kernel_rows_sum_to_one(d, s):
+    kernel = _kernel(d, s)
+    assert kernel.shape == (d * d, d)
+    assert not kernel.flags.writeable
+    assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("sx, sz", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_kernel_product_matches_ket_overlaps(d, sx, sz):
+    table = generate_single_distance(d)
+    # encode takes e0 from the first digits of both strings and e1 from the
+    # second digits, so these strings give the state X^(e0/d) Z^(e1/d), row e0 * d^2 + e1
+    kets = np.array(
+        [encode(d, table, (p0[0], p1[0]), (p0[1], p1[1])).amplitudes for p0 in table.pairs for p1 in table.pairs]
+    )
+    basis = np.array(
+        [
+            apply_to_bell_half(
+                frac_power_x(d, measurement_exponent(d, sx, b0)) @ frac_power_z(d, measurement_exponent(d, sz, b1)), d
+            ).amplitudes
+            for b0 in range(d)
+            for b1 in range(d)
+        ]
+    )
+    overlaps = (np.abs(kets.conj() @ basis.T) ** 2).reshape(d * d, d * d, d, d)  # [e0, e1, b0, b1]
+    product = np.einsum("ab,cd->acbd", _kernel(d, sx), _kernel(d, sz))
+    assert np.max(np.abs(product - overlaps)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("objective", ["p_min", "p_avg"])
+def test_search_score_equals_fresh_run(d, objective):
+    result = search_tables(d, objective, 200, seed=0)
+    report = run_protocol(QracTask(d=d, table=result.table))
+    assert result.score == getattr(report, objective)
+
+
 class TestTrivialStrategy:
     def test_d2_values(self):
         report = trivial_strategy(2)
@@ -310,7 +387,7 @@ class TestFourBitVariants:
 
 # ---------------------------------------------------------------- d = 2 oracle
 #
-# Ket by ket, without the success tensors: each input word (w0, w1, w2, w3)
+# Ket by ket, without the engine's kernels: each input word (w0, w1, w2, w3)
 # is encoded as encode(2, table, (w0, w1), (w2, w3)), so the X register
 # carries (w0, w2) and the Z register (w1, w3).  Bob's basis (sx, sz) is
 # built from measurement_exponent per register, and the outcome he reads is
