@@ -1,6 +1,6 @@
 """Exact simulation and bound computation for quantum random access codes.
 
-Subpackages by theme: :mod:`qracsim.qcore` (states, partial traces,
+Subpackages by theme: :mod:`qracsim.qcore` (states, local operators,
 fidelities), :mod:`qracsim.pauli` (Weyl operators and fractional powers),
 :mod:`qracsim.codes` (single-distance encoding tables), :mod:`qracsim.qracse`
 (the protocol engine), :mod:`qracsim.teleport` (constrained teleportation and

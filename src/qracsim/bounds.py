@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, F_from_f, haar_random_ket, partial_trace
+from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, DensityMatrix, F_from_f
 
 PROB_SUM_TOL = 1e-12
+KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
 
 _SQ2 = 1 / np.sqrt(2)
 # columns: (|00>+|11>)/s2, i(|00>-|11>)/s2, i(|01>+|10>)/s2, (|01>-|10>)/s2
@@ -112,17 +113,18 @@ def symmetric_bound_via_cloning(d: int, n: int) -> Fraction:
     return F_from_f(f, d)
 
 
-def kay_constraint_residual(F_values: Sequence[float], d: int) -> float:
+def kay_constraint_residual(F_values: Sequence[float] | np.ndarray, d: int) -> float | np.ndarray:
     """Slack of the entanglement-fidelity constraint
-    sum F_i <= (d-1)/d + (sum sqrt(F_i))^2 / (N + d - 1); >= 0 means feasible."""
+    sum F_i <= (d-1)/d + (sum sqrt(F_i))^2 / (N + d - 1); >= 0 means feasible.
+    The F_i run along the last axis, so a stack gives one slack per row."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    fs = [float(v) for v in F_values]
-    if any(not 0 <= v <= 1 + 1e-12 for v in fs):
+    fs = np.asarray(F_values, dtype=float)
+    if not np.all((fs >= 0) & (fs <= 1 + 1e-12)):  # NaN fails both comparisons
         raise ValueError("fidelities must lie in [0, 1]")
-    n = len(fs)
-    rhs = (d - 1) / d + sum(np.sqrt(max(v, 0.0)) for v in fs) ** 2 / (n + d - 1)
-    return float(rhs - sum(fs))
+    n = fs.shape[-1]
+    rhs = (d - 1) / d + np.sqrt(fs).sum(axis=-1) ** 2 / (n + d - 1)
+    return rhs - fs.sum(axis=-1)
 
 
 def asym_closed_form_n2(p: float, d: int) -> float:
@@ -177,14 +179,16 @@ def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     )
 
 
-def fully_entangled_fraction(rho: DensityMatrix) -> float:
+def fully_entangled_fraction(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Maximal overlap of a two-qubit state with a maximally entangled state:
-    the largest eigenvalue of the real part of rho in the magic basis."""
-    m = rho.matrix
-    if m.shape != (4, 4):
-        raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[0]}")
+    the largest eigenvalue of the real part of rho in the magic basis.  A
+    (..., 4, 4) stack of density matrices gives one value per matrix."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[-1]}")
     magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS
-    return float(np.linalg.eigvalsh(magic.real)[-1])
+    top = np.linalg.eigvalsh(magic.real)[..., -1]
+    return float(top) if top.ndim == 0 else top
 
 
 @dataclass(frozen=True)
@@ -195,24 +199,35 @@ class MonogamyScan:
     residuals_head: tuple[float, ...]
 
 
-def kay_feasibility_scan(n_states: int = 500, seed: int = 20220314, keep_head: int = 8) -> MonogamyScan:
-    """Sample random pure three-qubit states and check the fidelity constraint
-    on the two marginals that share the receiver qubit."""
+def kay_feasibility_scan(n_states: int = 500, seed: int = 20220314) -> MonogamyScan:
+    """Sample random pure three-qubit states on (A1, A2, C) and check the
+    fidelity constraint on the two marginals that share the receiver C.
+
+    State i is g[i, 0] + 1j g[i, 1], normalised, with g drawn in one
+    standard_normal((n_states, 2, 8)) call: the stream of per-state draws."""
     if n_states < 1:
         raise ValueError("need at least one state")
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(n_states):
-        psi = haar_random_ket(8, rng)
-        rho = DensityMatrix(psi.projector())
-        marg_1 = partial_trace(rho, [2, 2, 2], keep=[0, 2])
-        marg_2 = partial_trace(rho, [2, 2, 2], keep=[1, 2])
-        f1 = fully_entangled_fraction(marg_1)
-        f2 = fully_entangled_fraction(marg_2)
-        residuals.append(kay_constraint_residual([f1, f2], d=2))
+    g = np.random.default_rng(seed).standard_normal((n_states, 2, 8))
+    psi = g[:, 0] + 1j * g[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    norm_error = np.abs(np.linalg.norm(psi, axis=1) - 1.0).max()
+    if not norm_error <= NORM_TOL:  # NaN fails this comparison
+        raise ValueError(f"ket must be normalised, |norm - 1| = {norm_error:.3e}")
+    t = psi.reshape(n_states, 2, 2, 2)
+    # rho[m, k] is the (A_k, C) marginal of state m: trace out the other sender
+    rho = np.stack([np.einsum("mabc,mdbf->macdf", t, t.conj()), np.einsum("mabc,madf->mbcdf", t, t.conj())], 1)
+    rho = rho.reshape(n_states, 2, 4, 4)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    trace_error = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max()
+    if not trace_error <= TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, |trace - 1| = {trace_error:.3e}")
+    lowest = np.linalg.eigvalsh(rho)[..., 0].min()
+    if not lowest >= PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    residuals = kay_constraint_residual(fully_entangled_fraction(rho), d=2)
     return MonogamyScan(
-        min_residual=float(min(residuals)),
+        min_residual=float(residuals.min()),
         n_states=n_states,
         seed=seed,
-        residuals_head=tuple(float(r) for r in residuals[:keep_head]),
+        residuals_head=tuple(float(r) for r in residuals[:KAY_SCAN_HEAD]),
     )

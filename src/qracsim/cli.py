@@ -320,7 +320,7 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
             )
             splits[str(k_prime)] = split.to_json_dict()
         strategy_payload[str(d)] = {"favored": favored.to_json_dict(), "split": splits}
-    composite = teleport.composite_nsqrac_via_qracse(2, cross_check=True)
+    composite = teleport.composite_nsqrac_via_qracse(2)
     checks.append(_check("composite_equals_qracse_d2", composite.entanglement_fidelity_F, qreports[2].p_avg, 1e-6))
     checks.append(_check_true("composite_beats_favored", composite.entanglement_fidelity_F > 0.625, computed=composite.entanglement_fidelity_F))
     strategy_payload["composite_d2"] = composite.to_json_dict()
@@ -480,6 +480,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_negative_numbers_as_values(argv))
     try:
+        # numpy's generators reject a negative seed only once the work has begun
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")

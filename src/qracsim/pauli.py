@@ -59,7 +59,7 @@ def clock_z(d: int) -> np.ndarray:
 def dft(d: int) -> np.ndarray:
     """Discrete Fourier matrix F[j, k] = omega^(j k)/sqrt(d), omega = exp(2 pi i/d).
 
-    With this convention F^dag diag(1, omega, ..., omega^(d-1)) F = shift_x(d),
+    With this sign choice F^dag diag(1, omega, ..., omega^(d-1)) F = shift_x(d),
     which is the direction the fractional powers below rely on.
     """
     if d < 2:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra and quantum primitives.
 
-States, tensor products, local operators applied to state vectors,
-partial traces, fidelities and the conversion between entanglement
-fidelity F and transmission fidelity f.  Everything here is a pure
-function on immutable values, so concurrent use is safe.
+States, local operators applied to state vectors, fidelities and the
+conversion between entanglement fidelity F and transmission fidelity f.
+Everything here is a pure function on immutable values, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
@@ -23,17 +23,12 @@ PHASE_EQUALITY_TOL = 1e-10
 RationalLike = int | float | Fraction
 
 
-def _as_complex_matrix(entries: np.ndarray | Sequence) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+def ensure_square(m: np.ndarray | Sequence) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return m
-
-
-def ensure_square(m: np.ndarray) -> np.ndarray:
-    m = _as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -58,9 +53,6 @@ class Ket:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def overlap(self, other: "Ket") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -116,10 +108,6 @@ def bell_state(d: int) -> Ket:
     return Ket(v)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
-
-
 def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
     """(op (x) 1)|psi+> for a d x d operator; op must preserve the norm."""
     op = ensure_square(op)
@@ -168,42 +156,6 @@ def expectation(
     return complex(np.vdot(state, apply(op, sites, target, dims)))
 
 
-def partial_trace(
-    rho: DensityMatrix | np.ndarray,
-    dims: Sequence[int],
-    keep: Sequence[int],
-) -> DensityMatrix:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` are the subsystem dimensions in tensor order; their product must
-    equal the dimension of ``rho``.  The kept subsystems appear in the output
-    in the order given by ``keep``.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else ensure_square(rho)
-    dims = list(dims)
-    n = len(dims)
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError(f"subsystem dims {dims} do not factor dimension {m.shape[0]}")
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
-        raise ValueError(f"invalid keep list {keep} for {n} subsystems")
-    tensor = m.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise ValueError("too many subsystems")
-    left = list(letters[:n])
-    right = list(letters[n : 2 * n])
-    for i in range(n):
-        if i not in keep:
-            right[i] = left[i]
-    out = "".join(left[i] for i in keep) + "".join(right[i] for i in keep)
-    spec = "".join(left) + "".join(right) + "->" + out
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    reduced = np.einsum(spec, tensor).reshape(d_keep, d_keep)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(reduced)
-
-
 def entanglement_fidelity(rho: DensityMatrix | np.ndarray) -> Fidelity:
     """Overlap <psi+|rho|psi+> of a bipartite d x d state with |psi+>."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else ensure_square(rho)
@@ -227,8 +179,3 @@ def F_from_f(f: RationalLike, d: int) -> Fraction:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return (Fraction(f) * (d + 1) - 1) / d
 
-
-def haar_random_ket(d: int, rng: np.random.Generator) -> Ket:
-    """Haar-random pure state: normalised vector of i.i.d. complex Gaussians."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return Ket(v / np.linalg.norm(v))

@@ -88,30 +88,21 @@ class ProtocolReport:
             raise ValueError("p_min cannot exceed p_avg")
 
 
-def measurement_exponent(d: int, c: int, b: int, convention: str = "general") -> Fraction:
-    """Exponent of the Weyl power labelling Bob's projector component.
-
-    ``general`` uses (-1)^c b + (1-c)/2 - 1/(2d); ``qubit`` uses the d=2 form
-    (-1)^c b + (1-2c)/4.  At d=2 the two coincide identically for c in {0, 1}.
-    """
+def measurement_exponent(d: int, c: int, b: int) -> Fraction:
+    """Exponent (-1)^c b + (1-c)/2 - 1/(2d) of the Weyl power labelling Bob's
+    projector component."""
     if c not in (0, 1):
         raise ValueError(f"choice must be 0 or 1, got {c}")
-    if convention == "general":
-        return Fraction((-1) ** c * b) + Fraction(1 - c, 2) - Fraction(1, 2 * d)
-    if convention == "qubit":
-        if d != 2:
-            raise ValueError("the qubit convention is defined for d=2 only")
-        return Fraction((-1) ** c * b) + Fraction(1 - 2 * c, 4)
-    raise ValueError(f"unknown convention {convention!r}")
+    return Fraction((-1) ** c * b) + Fraction(1 - c, 2) - Fraction(1, 2 * d)
 
 
-def measurement_basis(d: int, c: int, convention: str = "general") -> list[Ket]:
+def measurement_basis(d: int, c: int) -> list[Ket]:
     """Bob's d^2 projector states for choice c, in (b0, b1) row-major order."""
     kets = []
     for b0 in range(d):
-        s = measurement_exponent(d, c, b0, convention)
+        s = measurement_exponent(d, c, b0)
         for b1 in range(d):
-            t = measurement_exponent(d, c, b1, convention)
+            t = measurement_exponent(d, c, b1)
             w = frac_power_x(d, s) @ frac_power_z(d, t)
             kets.append(apply_to_bell_half(w, d))
     return kets
@@ -391,7 +382,7 @@ def trivial_strategy(d: int, variant: str = "two_strings") -> ProtocolReport:
     return report(per_choice, values)
 
 
-def trivial_two_strings_simulation(d: int, table: EncodingTable | None = None) -> dict[str, float]:
+def trivial_two_strings_simulation(d: int) -> dict[str, float]:
     """Simulation witness for the trivial baseline.
 
     The first string is dense coded with integer Weyl powers and read out in

@@ -194,7 +194,7 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     )
 
 
-def composite_nsqrac_via_qracse(d: int = 2, cross_check: bool = False) -> StrategyResult:
+def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
     """Quantum-message strategy: encode the 16 teleportation outcomes with the
     entanglement-assisted code and correct with the decoded Weyl label.
 
@@ -206,9 +206,9 @@ def composite_nsqrac_via_qracse(d: int = 2, cross_check: bool = False) -> Strate
     correction fidelity is |tr(W_g W_i^dagger)/d|^2, which is 1 when g = i
     and 0 otherwise, so the success equals the decoder's average success.
 
-    With ``cross_check=True`` the teleportation layer is also simulated as an
-    explicit 8-qubit state vector (dimension 256) with Bell projectors and
-    corrections; both paths must agree to 1e-9, or RuntimeError is raised.
+    The teleportation layer is also simulated as an explicit 8-qubit state
+    vector (dimension 256) with Bell projectors and corrections; both paths
+    must agree to 1e-9, or RuntimeError is raised.
     """
     if d != 2:
         raise ValueError("the composite strategy is implemented for d=2")
@@ -218,18 +218,16 @@ def composite_nsqrac_via_qracse(d: int = 2, cross_check: bool = False) -> Strate
     report = run_protocol(QracTask(d=d, table=builtin_table(d), variant="two_strings"))
     F = report.p_avg
 
-    wrong = _max_wrong_correction_overlap(d)
-    details: dict = {
+    full = _composite_full_state_fidelity(d)
+    if abs(full - F) > 1e-9:
+        raise RuntimeError(f"full-state simulation disagrees: {full!r} vs {F!r}")
+    details = {
         "d": d,
         "per_choice": report.per_choice,
-        "max_wrong_correction_fidelity": wrong,
+        "max_wrong_correction_fidelity": _max_wrong_correction_overlap(d),
         "value_matching_published_0_728": "entanglement_fidelity_F",
+        "full_state_simulation": full,
     }
-    if cross_check:
-        full = _composite_full_state_fidelity(d)
-        if abs(full - F) > 1e-9:
-            raise RuntimeError(f"full-state simulation disagrees: {full!r} vs {F!r}")
-        details["full_state_simulation"] = full
     return StrategyResult(
         strategy_name="nsqrac_via_qracse",
         entanglement_fidelity_F=F,

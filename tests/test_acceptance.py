@@ -213,7 +213,7 @@ def test_06_quantum_input_strategies():
 def test_07_composite_strategy(two_string_reports):
     """criterion 7: composite strategy reaches the d=2 coding value and beats 0.625"""
     with _Recorder("criterion 7") as rec:
-        composite = teleport.composite_nsqrac_via_qracse(2, cross_check=True)
+        composite = teleport.composite_nsqrac_via_qracse(2)
         rec.check(
             abs(composite.entanglement_fidelity_F - two_string_reports[2].p_avg) <= 1e-6,
             f"composite {composite.entanglement_fidelity_F!r}",

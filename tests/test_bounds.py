@@ -18,8 +18,9 @@ from qracsim.bounds import (
     symmetric_bound_via_cloning,
     werner_fidelity,
 )
+from qracsim import bounds
 from qracsim.pauli import weyl
-from qracsim.qcore import DensityMatrix, bell_state, kron
+from qracsim.qcore import DensityMatrix, bell_state, expectation
 
 
 class TestWernerFidelity:
@@ -84,6 +85,16 @@ class TestKayResidual:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             kay_constraint_residual([1.5, 0.0], 2)
+
+    def test_stack_reduces_over_last_axis(self):
+        rows = [[0.3, 0.9], [0.5, 0.5], [1.0, 0.0]]
+        stacked = kay_constraint_residual(rows, 2)
+        assert stacked.shape == (3,)
+        assert np.allclose(stacked, [kay_constraint_residual(r, 2) for r in rows], rtol=0, atol=1e-15)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            kay_constraint_residual([[0.5, 0.5], [np.nan, 0.5]], 2)
 
 
 class TestClosedFormN2:
@@ -174,19 +185,23 @@ class TestAsymOptimize:
             AsymSpec(d=3, probabilities=(0.5, bad))
 
 
+def pure(ket):
+    return DensityMatrix(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+
+
 def bell_diagonal(weights):
     psi = bell_state(2).amplitudes
     labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rho = np.zeros((4, 4), dtype=complex)
     for w, (a, b) in zip(weights, labels):
-        v = kron(weyl(2, a, b), np.eye(2)) @ psi
+        v = np.kron(weyl(2, a, b), np.eye(2)) @ psi
         rho += w * np.outer(v, v.conj())
     return DensityMatrix(rho)
 
 
 class TestFullyEntangledFraction:
     def test_bell_state(self):
-        rho = DensityMatrix(bell_state(2).projector())
+        rho = pure(bell_state(2))
         assert fully_entangled_fraction(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed(self):
@@ -198,7 +213,7 @@ class TestFullyEntangledFraction:
 
     def test_qutrit_bell_state(self):
         # only the exact two-qubit formula is implemented; larger inputs raise
-        rho = DensityMatrix(bell_state(3).projector())
+        rho = pure(bell_state(3))
         with pytest.raises(ValueError):
             fully_entangled_fraction(rho)
 
@@ -224,6 +239,23 @@ class TestFullyEntangledFraction:
             rho = DensityMatrix(m / np.trace(m).real)
             assert fully_entangled_fraction(rho) == pytest.approx(ascent(rho.matrix), abs=1e-9)
 
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(29)
+        mats = []
+        for _ in range(5):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g @ g.conj().T
+            mats.append(m / np.trace(m).real)
+        mats.append(bell_diagonal([0.7, 0.1, 0.1, 0.1]).matrix)
+        values = fully_entangled_fraction(np.array(mats).reshape(2, 3, 4, 4))
+        assert values.shape == (2, 3)
+        singles = [fully_entangled_fraction(DensityMatrix(m)) for m in mats]
+        assert np.allclose(values.reshape(-1), singles, rtol=0, atol=1e-12)
+
+    def test_stack_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="two qubits"):
+            fully_entangled_fraction(np.zeros((3, 9, 9)))
+
 
 class TestMonogamyScan:
     def test_residuals_nonnegative(self):
@@ -235,6 +267,28 @@ class TestMonogamyScan:
         a = kay_feasibility_scan(n_states=20, seed=5)
         b = kay_feasibility_scan(n_states=20, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [20220314, 7])
+    def test_every_residual_matches_per_state_oracle(self, seed, monkeypatch):
+        # independent route: one draw per state and each marginal entry
+        # rho[i, j] = <psi|(|j><i|)_{A_k C}|psi> by qcore.expectation
+        n_states = 60
+        rng = np.random.default_rng(seed)
+        units = np.eye(4)
+        expected = []
+        for _ in range(n_states):
+            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            psi = v / np.linalg.norm(v)
+            fidelities = []
+            for sites in ((0, 2), (1, 2)):
+                rho = [[expectation(np.outer(units[j], units[i]), sites, psi, [2, 2, 2]) for j in range(4)] for i in range(4)]
+                fidelities.append(fully_entangled_fraction(DensityMatrix(rho)))
+            expected.append(kay_constraint_residual(fidelities, 2))
+        monkeypatch.setattr(bounds, "KAY_SCAN_HEAD", n_states)
+        scan = kay_feasibility_scan(n_states=n_states, seed=seed)
+        assert len(scan.residuals_head) == n_states
+        assert np.allclose(scan.residuals_head, expected, rtol=0, atol=1e-12)
+        assert scan.min_residual == pytest.approx(min(expected), rel=0, abs=1e-12)
 
 
 def test_bound_result_json_dict():

@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import qracsim
 from qracsim import qracse, teleport
 from qracsim.cli import main
 
@@ -148,6 +153,20 @@ class TestReproduceAll:
         capsys.readouterr()
         assert code == 0
 
+    def test_artifacts_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # the Kay scan runs stacked matmul and eigvalsh, which BLAS may split across threads
+        src = str(Path(qracsim.__file__).resolve().parents[1])
+        artifacts = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            argv = [sys.executable, "-m", "qracsim.cli", "reproduce-all", "--out", str(out_dir)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            artifacts.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert len(artifacts[0]) == 11
+        assert artifacts[0] == artifacts[1]
+
     def test_env_var_default_directory(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("QRACSIM_OUTPUT_DIR", str(target))
@@ -178,6 +197,16 @@ class TestNumericalFailures:
         assert code == 1
         assert err.startswith("error: measurement basis incomplete")
         assert len(err.splitlines()) == 1
+
+    def test_negative_seed_writes_no_artifact(self, tmp_path, capsys):
+        out_dir = tmp_path / "r"
+        assert main(["reproduce-all", "--seed", "-1", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_negative_search_seed_names_the_option(self, capsys):
+        assert main(["qracse", "--d", "2", "--table", "search", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_bad_input_keeps_exit_code_two(self, capsys):
         assert main(["teleport", "--d", "2", "--k", "9"]) == 2
@@ -237,8 +266,9 @@ class TestNumericalFailures:
 # ---------------------------------------------------------------- fuzz
 #
 # Bounded argument ranges, in and out of each command's domain.  Every call
-# must end with exit code 0, 1 or 2 (argparse usage errors exit with 2); a
-# nonzero return from main prints exactly one line, the error line.
+# must end with exit code 0, 1 or 2; a nonzero return from main prints
+# exactly one line, the error line.  argparse itself may reject only
+# `bounds asym` with an empty --p, which it must.
 
 FORMATS = st.sampled_from(["table", "json", "csv"])
 PROBABILITIES = st.one_of(
@@ -253,7 +283,8 @@ def call_main(argv):
         try:
             code = main(argv)
         except SystemExit as exc:
-            assert exc.code == 2, argv
+            assert exc.code == 2 and argv[:2] == ["bounds", "asym"] and argv[-1] == "--p", argv
+            assert "expected at least one argument" in err.getvalue(), (argv, err.getvalue())
             return
     assert code in (0, 1, 2), argv
     event(f"exit {code}")
@@ -275,11 +306,12 @@ def test_fuzz_teleport(d, k, fmt):
     table=st.sampled_from(["builtin", "generated", "search"]),
     objective=st.sampled_from(["p_min", "p_avg"]),
     budget=st.integers(-2, 50),
-    seed=st.integers(0, 3),
+    seed=st.integers(-3, 3),
     truth=st.text(alphabet="012x", max_size=10),
     fmt=FORMATS,
 )
 @example(d=2, variant="f", table="builtin", objective="p_min", budget=1, seed=0, truth="0a010101", fmt="table")
+@example(d=2, variant="two-strings", table="search", objective="p_min", budget=5, seed=-1, truth="", fmt="table")
 def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt):
     argv = ["qracse", "--d", str(d), "--variant", variant, "--table", table, "--objective", objective]
     argv += ["--budget", str(budget), "--seed", str(seed), "--format", fmt]

@@ -14,13 +14,14 @@ from qracsim.qcore import (
     entanglement_fidelity,
     expectation,
     f_from_F,
-    haar_random_ket,
-    kron,
-    partial_trace,
     states_equal,
 )
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def pure(ket):
+    return DensityMatrix(np.outer(ket.amplitudes, ket.amplitudes.conj()))
 
 
 def random_density(d, rng):
@@ -64,31 +65,14 @@ class TestBellState:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_reduced_state_is_maximally_mixed(self, d):
-        rho = DensityMatrix(bell_state(d).projector())
-        for keep in ([0], [1]):
-            reduced = partial_trace(rho, [d, d], keep)
-            assert np.allclose(reduced.matrix, np.eye(d) / d, atol=1e-12)
+        # amplitudes as a d x d matrix M: the reduced states are M M^dag and M^T M^*
+        m = bell_state(d).amplitudes.reshape(d, d)
+        for reduced in (m @ m.conj().T, m.T @ m.conj()):
+            assert np.allclose(reduced, np.eye(d) / d, atol=1e-12)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             bell_state(1)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_shift_on_first_qubit(self):
-        ket00 = np.array([1, 0, 0, 0], dtype=complex)
-        assert np.allclose(kron(X2, np.eye(2)) @ ket00, [0, 0, 1, 0])
-
-    def test_trace_multiplicative_on_random_inputs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            # independent oracle: direct product of the two traces
-            assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
 
 
 def _random_operator(dim, rng):
@@ -170,48 +154,9 @@ class TestApply:
             apply(X2, (0,), psi[:3], [2, 2])
 
 
-class TestPartialTrace:
-    def test_bell_reduction(self):
-        rho = DensityMatrix(bell_state(2).projector())
-        assert np.allclose(partial_trace(rho, [2, 2], [0]).matrix, np.eye(2) / 2)
-
-    def test_product_state_factors(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            rho_a = random_density(2, rng)
-            rho_b = random_density(2, rng)
-            prod = DensityMatrix(kron(rho_a.matrix, rho_b.matrix))
-            assert np.allclose(partial_trace(prod, [2, 2], [0]).matrix, rho_a.matrix, atol=1e-12)
-            assert np.allclose(partial_trace(prod, [2, 2], [1]).matrix, rho_b.matrix, atol=1e-12)
-
-    def test_keep_all_is_identity(self):
-        rng = np.random.default_rng(4)
-        rho = random_density(6, rng)
-        back = partial_trace(rho, [2, 3], [0, 1])
-        assert np.allclose(back.matrix, rho.matrix, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        with pytest.raises(ValueError):
-            partial_trace(rho, [2, 3], [0])
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        dims=st.lists(st.integers(2, 4), min_size=3, max_size=3),
-        keep_mask=st.integers(1, 6),
-        seed=st.integers(0, 10**6),
-    )
-    def test_trace_preserved(self, dims, keep_mask, seed):
-        keep = [i for i in range(3) if keep_mask >> i & 1]
-        rng = np.random.default_rng(seed)
-        rho = random_density(int(np.prod(dims)), rng)
-        reduced = partial_trace(rho, dims, keep)
-        assert abs(np.trace(reduced.matrix).real - 1.0) < 1e-12
-
-
 class TestEntanglementFidelity:
     def test_bell_is_one(self):
-        assert entanglement_fidelity(DensityMatrix(bell_state(2).projector())).value == pytest.approx(1.0)
+        assert entanglement_fidelity(pure(bell_state(2))).value == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_maximally_mixed(self, d):
@@ -219,8 +164,8 @@ class TestEntanglementFidelity:
         assert entanglement_fidelity(rho).value == pytest.approx(1 / d**2)
 
     def test_shifted_bell_is_orthogonal(self):
-        ket = Ket(kron(X2, np.eye(2)) @ bell_state(2).amplitudes)
-        assert entanglement_fidelity(DensityMatrix(ket.projector())).value == pytest.approx(0.0, abs=1e-12)
+        ket = Ket(np.kron(X2, np.eye(2)) @ bell_state(2).amplitudes)
+        assert entanglement_fidelity(pure(ket)).value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_range_on_random_states(self, d):
@@ -275,8 +220,3 @@ class TestStatesEqual:
         b = Ket(np.array([0, 1], dtype=complex))
         assert not states_equal(a, b)
 
-
-def test_haar_random_ket_is_normalised():
-    rng = np.random.default_rng(0)
-    for d in (2, 3, 5):
-        assert abs(np.linalg.norm(haar_random_ket(d, rng).amplitudes) - 1) < 1e-12

@@ -16,7 +16,7 @@ from qracsim.codes import (
     search_tables,
     validate,
 )
-from qracsim.qcore import apply_to_bell_half, bell_state, kron, states_equal
+from qracsim.qcore import apply_to_bell_half, bell_state, states_equal
 from qracsim.pauli import frac_power_x, frac_power_z
 from qracsim.qracse import (
     QracTask,
@@ -82,7 +82,7 @@ class TestEncode:
         # first digits (1, 0) and second digits (1, 0) both map to index 3
         ket = encode(2, builtin_table(2), (1, 1), (0, 0))
         w = frac_power_x(2, 1.5) @ frac_power_z(2, 1.5)
-        expected = kron(w, np.eye(2)) @ bell_state(2).amplitudes
+        expected = np.kron(w, np.eye(2)) @ bell_state(2).amplitudes
         assert np.allclose(ket.amplitudes, expected, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -117,7 +117,7 @@ class TestMeasurementBasis:
         for b0 in range(3):
             for b1 in range(3):
                 w = frac_power_x(3, b0 + Fraction(1, 3)) @ frac_power_z(3, b1 + Fraction(1, 3))
-                direct = kron(w, np.eye(3)) @ psi
+                direct = np.kron(w, np.eye(3)) @ psi
                 assert np.allclose(vecs[b0 * 3 + b1].amplitudes, direct, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -128,17 +128,10 @@ class TestMeasurementBasis:
         assert np.max(np.abs(gram - np.eye(d * d))) < 1e-10
 
     def test_qubit_convention_coincides_with_general(self):
+        # the d = 2 form (-1)^c b + (1 - 2c)/4 is the general exponent at d = 2
         for c in (0, 1):
             for b in (0, 1):
-                assert measurement_exponent(2, c, b, "general") == measurement_exponent(2, c, b, "qubit")
-            general = measurement_basis(2, c, "general")
-            qubit = measurement_basis(2, c, "qubit")
-            for u, v in zip(general, qubit):
-                assert np.allclose(u.amplitudes, v.amplitudes, atol=1e-12)
-
-    def test_qubit_convention_rejected_above_d2(self):
-        with pytest.raises(ValueError):
-            measurement_exponent(3, 0, 0, "qubit")
+                assert measurement_exponent(2, c, b) == Fraction((-1) ** c * b) + Fraction(1 - 2 * c, 4)
 
 
 @pytest.fixture(scope="module")

@@ -125,7 +125,7 @@ class TestFavoredStrategy:
 
 @pytest.fixture(scope="module")
 def result():
-    return composite_nsqrac_via_qracse(2, cross_check=True)
+    return composite_nsqrac_via_qracse(2)
 
 
 class TestCompositeStrategy:
