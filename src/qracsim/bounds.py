@@ -214,7 +214,7 @@ def kay_feasibility_scan(n_states: int = 500, seed: int = 20220314) -> MonogamyS
     if not norm_error <= NORM_TOL:  # NaN fails this comparison
         raise ValueError(f"ket must be normalised, |norm - 1| = {norm_error:.3e}")
     t = psi.reshape(n_states, 2, 2, 2)
-    # rho[m, k] is the (A_k, C) marginal of state m: trace out the other sender
+    # rho[m, 0] and rho[m, 1] are the (A1, C) and (A2, C) marginals: trace out the other sender
     rho = np.stack([np.einsum("mabc,mdbf->macdf", t, t.conj()), np.einsum("mabc,madf->mbcdf", t, t.conj())], 1)
     rho = rho.reshape(n_states, 2, 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
