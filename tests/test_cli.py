@@ -112,6 +112,17 @@ class TestOutputFile:
         assert json.loads(target.read_text())["exact"] == {"numerator": 1, "denominator": 2}
 
 
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_matches_golden(capsys, case):
+    """Every subcommand in every format prints the bytes recorded in golden_cli.json."""
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
 class TestReproduceAll:
     def test_no_hard_failures(self, reproduction):
         _, checks, summary = reproduction
