@@ -73,25 +73,6 @@ class AsymSpec:
         return len(self.probabilities)
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A bound value with exact rational form when one exists."""
-
-    label: str
-    value: float
-    exact: Fraction | None = None
-    details: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        payload: dict = {"label": self.label, "value": self.value, "details": self.details}
-        if self.exact is not None:
-            payload["exact"] = {
-                "numerator": self.exact.numerator,
-                "denominator": self.exact.denominator,
-            }
-        return payload
-
-
 def werner_fidelity(params: CloningParams) -> Fraction:
     """Optimal universal cloning fidelity N1/N2 + (N2-N1)(N1+1)/(N2(N1+d))."""
     n1, n2, d = params.n1, params.n2, params.d

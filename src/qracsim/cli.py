@@ -20,10 +20,11 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds, codes, qracse, teleport
+from . import bounds, codes, qcore, qracse, teleport
 
 OUTPUT_DIR_ENV = "QRACSIM_OUTPUT_DIR"
 
@@ -73,37 +74,49 @@ def _csv_from_rows(headers: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fraction_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
+
+
+class Output(NamedTuple):
+    """One command's result in every format: ``json`` dumps ``payload``,
+    ``csv`` writes ``headers`` and ``rows``, ``table`` prints ``text``."""
+
+    payload: object
+    headers: list[str]
+    rows: list[list]
+    text: str
+
+
+def _emit(args, out: Output) -> int:
+    """Write ``out`` in the format of --format, to --output or stdout."""
+    if args.format == "json":
+        text = _dump_json(out.payload)
+    elif args.format == "csv":
+        text = _csv_from_rows(out.headers, out.rows)
+    else:
+        text = out.text
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------- teleport
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> Output:
     result = teleport.constrained_teleport_fidelity(args.d, args.k)
     assert result.exact is not None
-    if args.format == "json":
-        _emit(_dump_json(result.to_json_dict()), args.output)
-    elif args.format == "csv":
-        rows = [[args.d, args.k, result.entanglement_fidelity_F, float(result.exact), result.transmission_fidelity_f]]
-        _emit(_csv_from_rows(["d", "k", "F_simulated", "F_exact", "f"], rows), args.output)
-    else:
-        _emit(
-            f"constrained teleportation d={args.d} k={args.k}\n"
-            f"  F (exact)      = {_fraction_str(result.exact)} = {_fmt(float(result.exact))}\n"
-            f"  F (simulated)  = {_fmt(result.entanglement_fidelity_F)}\n"
-            f"  f (channel)    = {_fmt(result.transmission_fidelity_f)}\n",
-            args.output,
-        )
-    return 0
+    row = [args.d, args.k, result.entanglement_fidelity_F, float(result.exact), result.transmission_fidelity_f]
+    text = (
+        f"constrained teleportation d={args.d} k={args.k}\n"
+        f"  F (exact)      = {_fraction_str(result.exact)} = {_fmt(float(result.exact))}\n"
+        f"  F (simulated)  = {_fmt(result.entanglement_fidelity_F)}\n"
+        f"  f (channel)    = {_fmt(result.transmission_fidelity_f)}\n"
+    )
+    return Output(result.to_json_dict(), ["d", "k", "F_simulated", "F_exact", "f"], [row], text)
 
 
 # ---------------------------------------------------------------- qracse
@@ -118,7 +131,7 @@ def _resolve_table(args) -> codes.EncodingTable:
     return result.table
 
 
-def cmd_qracse(args) -> int:
+def cmd_qracse(args) -> Output:
     variant = {
         "two-strings": "two_strings",
         "pairs": "four_dits_pairs",
@@ -134,66 +147,43 @@ def cmd_qracse(args) -> int:
         report = qracse.run_protocol(qracse.QracTask(d=args.d, table=table, variant=variant))
     trivial = qracse.trivial_strategy(args.d, variant)
 
-    if args.format == "json":
-        payload = {
-            "protocol": json.loads(qracse.report_to_json(report)),
-            "trivial": json.loads(qracse.report_to_json(trivial)),
-        }
-        _emit(_dump_json(payload), args.output)
-    elif args.format == "csv":
-        _emit(qracse.report_to_csv(report), args.output)
-    else:
-        headers = ["variant", "P_min", "trivial P_min", "P_avg", "trivial P_avg"]
-        rows = [[args.variant, report.p_min, trivial.p_min, report.p_avg, trivial.p_avg]]
-        text = _render_table(headers, rows)
-        per_choice = "  ".join(f"P[{k}]={_fmt(v)}" for k, v in sorted(report.per_choice.items()))
-        _emit(text + "per choice: " + per_choice + "\n", args.output)
-    return 0
+    payload = {"protocol": report.to_json_dict(), "trivial": trivial.to_json_dict()}
+    # one CSV row per (choice, requested value)
+    rows = [[c, value, p] for (c, value), p in sorted(report.per_string.items())]
+    headers = ["variant", "P_min", "trivial P_min", "P_avg", "trivial P_avg"]
+    text = _render_table(headers, [[args.variant, report.p_min, trivial.p_min, report.p_avg, trivial.p_avg]])
+    text += "per choice: " + "  ".join(f"P[{k}]={_fmt(v)}" for k, v in sorted(report.per_choice.items())) + "\n"
+    return Output(payload, ["choice", "value", "probability"], rows, text)
 
 
 # ---------------------------------------------------------------- bounds
 
 
-def cmd_bounds(args) -> int:
-    if args.kind == "werner":
-        fr = bounds.werner_fidelity(bounds.CloningParams(n1=args.n1, n2=args.n2, d=args.d))
-        result = bounds.BoundResult(
-            label=f"werner_cloning_fidelity(n1={args.n1}, n2={args.n2}, d={args.d})",
-            value=float(fr),
-            exact=fr,
-        )
-        text = f"{result.label} = {_fraction_str(fr)} = {_fmt(float(fr))}\n"
-    elif args.kind == "symmetric":
-        fr = bounds.symmetric_bound(args.d, args.N)
-        result = bounds.BoundResult(
-            label=f"symmetric_bound(d={args.d}, N={args.N})", value=float(fr), exact=fr
-        )
-        text = f"{result.label} = {_fraction_str(fr)} = {_fmt(float(fr))}\n"
-    else:
+def cmd_bounds(args) -> Output:
+    if args.kind == "asym":
         spec = bounds.AsymSpec(d=args.d, probabilities=tuple(args.p))
         optimum = bounds.asym_optimize(spec)
+        label = f"asym_bound(d={args.d}, p={list(spec.probabilities)})"
         details = {"point": list(optimum.point)}
+        text = f"{label} = {_fmt(optimum.value)}\n"
         if spec.n == 2:
             closed = bounds.asym_closed_form_n2(spec.probabilities[0], args.d)
             details["closed_form"] = closed
             details["closed_form_gap"] = abs(closed - optimum.value)
-        result = bounds.BoundResult(
-            label=f"asym_bound(d={args.d}, p={list(spec.probabilities)})",
-            value=optimum.value,
-            details=details,
-        )
-        text = f"{result.label} = {_fmt(optimum.value)}\n"
-        if "closed_form" in details:
-            text += f"  closed form    = {_fmt(details['closed_form'])}\n"
+            text += f"  closed form    = {_fmt(closed)}\n"
         text += f"  maximiser      = ({', '.join(_fmt(v) for v in optimum.point)})\n"
+        payload = {"label": label, "value": optimum.value, "details": details}
+        return Output(payload, ["label", "value"], [[label, optimum.value]], text)
 
-    if args.format == "json":
-        _emit(_dump_json(result.to_json_dict()), args.output)
-    elif args.format == "csv":
-        _emit(_csv_from_rows(["label", "value"], [[result.label, result.value]]), args.output)
+    if args.kind == "werner":
+        label = f"werner_cloning_fidelity(n1={args.n1}, n2={args.n2}, d={args.d})"
+        exact = bounds.werner_fidelity(bounds.CloningParams(n1=args.n1, n2=args.n2, d=args.d))
     else:
-        _emit(text, args.output)
-    return 0
+        label = f"symmetric_bound(d={args.d}, N={args.N})"
+        exact = bounds.symmetric_bound(args.d, args.N)
+    payload = {"label": label, "value": float(exact), "details": {}, "exact": qcore.fraction_json(exact)}
+    text = f"{label} = {_fraction_str(exact)} = {_fmt(float(exact))}\n"
+    return Output(payload, ["label", "value"], [[label, float(exact)]], text)
 
 
 # ---------------------------------------------------------------- reproduce-all
@@ -263,7 +253,7 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
         kind = HARD if d == 4 else ANNOTATED
         checks.append(_check(f"per_choice_c0(d={d})", pc[0], ref["stated"][0], 2e-3, kind))
         checks.append(_check(f"per_choice_c1(d={d})", pc[1], ref["stated"][1], 2e-3, kind))
-    write("table4.json", _dump_json({str(d): json.loads(qracse.report_to_json(r)) for d, r in qreports.items()}))
+    write("table4.json", _dump_json({str(d): r.to_json_dict() for d, r in qreports.items()}))
     write("table4.csv", _csv_from_rows(["d", "P_min", "trivial_P_min", "P_avg", "trivial_P_avg"], table4_rows))
 
     # four-bit variants and the Boolean-function task
@@ -295,11 +285,11 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
         "table6.json",
         _dump_json(
             {
-                "pairs": json.loads(qracse.report_to_json(pairs)),
-                "single": json.loads(qracse.report_to_json(single)),
-                "boolean_majority": json.loads(qracse.report_to_json(majority)),
-                "trivial_pairs": json.loads(qracse.report_to_json(trivial_pairs)),
-                "trivial_single": json.loads(qracse.report_to_json(trivial_single)),
+                "pairs": pairs.to_json_dict(),
+                "single": single.to_json_dict(),
+                "boolean_majority": majority.to_json_dict(),
+                "trivial_pairs": trivial_pairs.to_json_dict(),
+                "trivial_single": trivial_single.to_json_dict(),
             }
         ),
     )
@@ -393,7 +383,7 @@ def cmd_reproduce_all(args) -> int:
     try:
         checks, summary = run_reproduction(args.seed, out_dir)
     except OSError as exc:
-        sys.stderr.write(f"cannot write reports: {exc}\n")
+        sys.stderr.write(f"error: cannot write reports: {exc}\n")
         return 2
     for c in checks:
         line = f"[{c['status'].upper():9s}] {c['name']}"
@@ -414,15 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qracsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, command):
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--output", default=None, help="write to this file instead of stdout")
+        p.set_defaults(func=lambda args: _emit(args, command(args)))
 
     p_tel = sub.add_parser("teleport", help="constrained teleportation fidelity")
     p_tel.add_argument("--d", type=int, required=True)
     p_tel.add_argument("--k", type=int, required=True)
-    add_common(p_tel)
-    p_tel.set_defaults(func=cmd_teleport)
+    add_common(p_tel, cmd_teleport)
 
     p_qr = sub.add_parser("qracse", help="entanglement-assisted coding protocols")
     p_qr.add_argument("--d", type=int, required=True)
@@ -432,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qr.add_argument("--budget", type=int, default=200, help="search evaluations when --table search")
     p_qr.add_argument("--seed", type=int, default=0)
     p_qr.add_argument("--truth-table", default="00010111", help="8 bits of f(x) for --variant f")
-    add_common(p_qr)
-    p_qr.set_defaults(func=cmd_qracse)
+    add_common(p_qr, cmd_qracse)
 
     p_b = sub.add_parser("bounds", help="monogamy upper bounds")
     sub_b = p_b.add_subparsers(dest="kind", required=True)
@@ -441,18 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--n1", type=int, required=True)
     p_w.add_argument("--n2", type=int, required=True)
     p_w.add_argument("--d", type=int, required=True)
-    add_common(p_w)
-    p_w.set_defaults(func=cmd_bounds)
+    add_common(p_w, cmd_bounds)
     p_s = sub_b.add_parser("symmetric", help="symmetric N-input bound")
     p_s.add_argument("--d", type=int, required=True)
     p_s.add_argument("--N", type=int, required=True)
-    add_common(p_s)
-    p_s.set_defaults(func=cmd_bounds)
+    add_common(p_s, cmd_bounds)
     p_a = sub_b.add_parser("asym", help="asymmetric bound by an exact eigenproblem")
     p_a.add_argument("--d", type=int, required=True)
     p_a.add_argument("--p", type=float, nargs="+", required=True)
-    add_common(p_a)
-    p_a.set_defaults(func=cmd_bounds)
+    add_common(p_a, cmd_bounds)
 
     p_all = sub.add_parser("reproduce-all", help="write every reproduction artifact")
     p_all.add_argument("--seed", type=int, default=20220314)
@@ -484,7 +470,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OSError) as exc:  # bad input, or an --output that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:  # a numerical cross-check or consistency check failed

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -162,30 +163,39 @@ def _rook_neighbours(d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _random_cycle(d: int, rng: np.random.Generator) -> list[int] | None:
-    """Random Hamiltonian cycle on the rook graph of the d x d digit grid, as cells a*d + b."""
+def _cycles(d: int, start: int, order: Callable[[int], Iterable[int]]) -> Iterator[list[int]]:
+    """Hamiltonian cycles of the rook graph of the d x d digit grid that begin
+    at ``start``, as cells a*d + b, found lazily depth first.  ``order(k)``
+    gives the order in which the k neighbours of the path's end are tried."""
     nbrs = _rook_neighbours(d)
-    path = [int(rng.integers(d * d))]
+    path = [start]
     used = [False] * (d * d)
-    used[path[0]] = True
+    used[start] = True
 
-    def extend() -> bool:
+    def extend() -> Iterator[list[int]]:
         if len(path) == d * d:
-            return path[0] in nbrs[path[-1]]
+            if path[0] in nbrs[path[-1]]:
+                yield list(path)
+            return
         options = nbrs[path[-1]]
-        for i in rng.permutation(len(options)).tolist():
+        for i in order(len(options)):
             nxt = options[i]
             if used[nxt]:
                 continue
             path.append(nxt)
             used[nxt] = True
-            if extend():
-                return True
+            yield from extend()
             path.pop()
             used[nxt] = False
-        return False
 
-    return path if extend() else None
+    return extend()
+
+
+def _random_cycle(d: int, rng: np.random.Generator) -> list[int] | None:
+    """Random Hamiltonian cycle on the rook graph: the first one a depth-first
+    search from a random cell finds, trying neighbours in random order."""
+    start = int(rng.integers(d * d))
+    return next(_cycles(d, start, lambda k: rng.permutation(k).tolist()), None)
 
 
 @lru_cache(maxsize=None)
@@ -196,21 +206,7 @@ def _all_cycles(d: int) -> np.ndarray:
     dimensions the search enumerates.  d = 4 has 284 112 undirected cycles,
     which give 9 091 584 tables (16 starts times 2 directions each).
     """
-    nbrs = _rook_neighbours(d)
-    found = []
-
-    def extend(path: list[int]):
-        if len(path) == d * d:
-            if path[0] in nbrs[path[-1]]:
-                found.append(path)
-            return
-        for q in sorted(nbrs[path[-1]]):
-            if q not in path:
-                extend(path + [q])
-
-    for start in range(d * d):
-        extend([start])
-    cycles = np.array(found, dtype=np.intp)
+    cycles = np.array(sorted(c for start in range(d * d) for c in _cycles(d, start, range)), dtype=np.intp)
     cycles.setflags(write=False)
     return cycles
 

@@ -179,3 +179,8 @@ def F_from_f(f: RationalLike, d: int) -> Fraction:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return (Fraction(f) * (d + 1) - 1) / d
 
+
+
+def fraction_json(fr: Fraction) -> dict[str, int]:
+    """An exact rational as the reports write it: {"numerator": n, "denominator": m}."""
+    return {"numerator": fr.numerator, "denominator": fr.denominator}

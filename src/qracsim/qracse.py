@@ -16,13 +16,10 @@ machinery.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -86,6 +83,22 @@ class ProtocolReport:
                 raise ValueError(f"probability {p!r} outside [0, 1]")
         if self.p_min > self.p_avg + 1e-12:
             raise ValueError("p_min cannot exceed p_avg")
+
+    def to_json_dict(self) -> dict:
+        """The report as written to JSON: ``per_string`` nests the requested
+        values under their choice key."""
+        return {
+            "d": self.d,
+            "variant": self.variant,
+            "p_avg": self.p_avg,
+            "p_min": self.p_min,
+            "per_choice": self.per_choice,
+            "per_string": {
+                choice: {value: p for (c, value), p in sorted(self.per_string.items()) if c == choice}
+                for choice in self.per_choice
+            },
+            "details": self.details,
+        }
 
 
 def measurement_exponent(d: int, c: int, b: int) -> Fraction:
@@ -209,6 +222,18 @@ def _run_two_strings(task: QracTask) -> ProtocolReport:
     return _report(task, per_choice, per_string, outcome_normalisation_error=norm_err)
 
 
+def _requested_positions(variant: str) -> dict[str, tuple[int, ...]]:
+    """Choice key -> positions of the digits Bob is asked for in the word
+    (w0, w1, w2, w3) made of the strings (w0, w1) and (w2, w3); the Boolean
+    variant's word holds f on each 3-subset."""
+    if variant == "two_strings":
+        return {"0": (0, 1), "1": (2, 3)}
+    if variant == "four_dits_pairs":
+        return {key: (int(key[0]), int(key[1])) for key in _PAIR_BASES}
+    keys = ("0", "1", "2", "3") if variant == "four_dits_single" else _SUBSETS_3_OF_4
+    return {key: (pos,) for pos, key in enumerate(keys)}
+
+
 def _aggregate(success: np.ndarray, labels: np.ndarray) -> tuple[float, dict[int, float]]:
     """Mean success of one choice, and its mean per requested value (label)
     over the inputs requesting it, for the labels that occur."""
@@ -256,30 +281,25 @@ def _run_four_bit(task: QracTask) -> ProtocolReport:
         """Probability that basis (s, s) reads w[2 s] in the X register, whatever the Z register reads."""
         return float(_kernel(d, s)[ex, words[2 * s]].mean())
 
-    # choices map each choice key to (success per word, requested bit positions)
+    requests = _requested_positions(task.variant)
     if task.variant == "four_dits_pairs":
-        choices = {
-            key: (decoded(*basis) / (d if key in ("02", "13") else 1), (int(key[0]), int(key[1])))
-            for key, basis in _PAIR_BASES.items()
-        }
+        success = {key: decoded(*_PAIR_BASES[key]) / (d if key in ("02", "13") else 1) for key in requests}
         details = {
             "within_register_rule": "joint pair decode times uniform guess",
             "within_register_marginal_rule": marginal(0) / d,
         }
     else:
-        single = task.variant == "four_dits_single"
-        keys = ("0", "1", "2", "3") if single else _SUBSETS_3_OF_4
-        choices = {key: (decoded(pos // 2, pos // 2), (pos,)) for pos, key in enumerate(keys)}
-        if single:
+        success = {key: decoded(pos // 2, pos // 2) for key, (pos,) in requests.items()}
+        if task.variant == "four_dits_single":
             details = {"bit_marginal_rule": {"0": marginal(0), "2": marginal(1)}}
         else:
             details = {"truth_table": list(task.boolean_function)}
 
     per_choice: dict[str, float] = {}
     per_string: dict[tuple[str, str], float] = {}
-    for key, (success, bits) in choices.items():
+    for key, bits in requests.items():
         labels = np.ravel_multi_index(words[list(bits)], (2,) * len(bits))  # requested bits, binary
-        per_choice[key], means = _aggregate(success, labels)
+        per_choice[key], means = _aggregate(success[key], labels)
         per_string.update({(key, format(v, f"0{len(bits)}b")): p for v, p in means.items()})
     return _report(task, per_choice, per_string, **details)
 
@@ -324,62 +344,39 @@ def f_qracse(truth_table, d: int = 2, table: EncodingTable | None = None) -> Pro
 def trivial_strategy(d: int, variant: str = "two_strings") -> ProtocolReport:
     """Baseline that spends the perfect dense-coding capacity on one string.
 
-    Exact rational values; the fractions are kept in ``details['exact']``.
+    Dense coding carries the word's positions 0 and 1 perfectly, and every
+    other requested digit is a uniform guess worth 1/d.  Exact rational
+    values; the fractions are kept in ``details['exact']``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant != "two_strings" and d != 2:
         raise ValueError(f"variant {variant!r} is defined for d=2 only")
-
-    def report(per_choice_fr: dict[str, Fraction], values_fr: dict[tuple[str, str], Fraction]):
-        p_avg = sum(per_choice_fr.values()) / len(per_choice_fr)
-        p_min = min(values_fr.values())
-        return ProtocolReport(
-            d=d,
-            variant=variant,
-            per_string={k: float(v) for k, v in values_fr.items()},
-            per_choice={k: float(v) for k, v in per_choice_fr.items()},
-            p_avg=float(p_avg),
-            p_min=float(p_min),
-            details={
-                "strategy": "trivial",
-                "exact": {
-                    "p_avg": str(p_avg),
-                    "p_min": str(p_min),
-                    "per_choice": {k: str(v) for k, v in per_choice_fr.items()},
-                },
+    requests = _requested_positions(variant)
+    per_choice = {key: Fraction(1, d ** sum(pos > 1 for pos in bits)) for key, bits in requests.items()}
+    per_string = {
+        (key, "".join(map(str, value))): per_choice[key]
+        for key, bits in requests.items()
+        for value in product(range(d), repeat=len(bits))
+    }
+    p_avg = sum(per_choice.values()) / len(per_choice)
+    p_min = min(per_string.values())
+    return ProtocolReport(
+        d=d,
+        variant=variant,
+        per_string={k: float(v) for k, v in per_string.items()},
+        per_choice={k: float(v) for k, v in per_choice.items()},
+        p_avg=float(p_avg),
+        p_min=float(p_min),
+        details={
+            "strategy": "trivial",
+            "exact": {
+                "p_avg": str(p_avg),
+                "p_min": str(p_min),
+                "per_choice": {k: str(v) for k, v in per_choice.items()},
             },
-        )
-
-    one = Fraction(1)
-    if variant == "two_strings":
-        guess = Fraction(1, d * d)
-        per_choice = {"0": one, "1": guess}
-        values = {}
-        for v0 in range(d):
-            for v1 in range(d):
-                values[("0", f"{v0}{v1}")] = one
-                values[("1", f"{v0}{v1}")] = guess
-        return report(per_choice, values)
-
-    if variant == "four_dits_pairs":
-        pair_vals = {
-            "01": one,
-            "03": Fraction(1, 2),
-            "12": Fraction(1, 2),
-            "02": Fraction(1, 2),
-            "13": Fraction(1, 2),
-            "23": Fraction(1, 4),
-        }
-        values = {(k, f"{i}{j}"): v for k, v in pair_vals.items() for i in (0, 1) for j in (0, 1)}
-        return report(pair_vals, values)
-
-    # single bit and the Boolean variant share the same baseline
-    bit_vals = {"0": one, "1": one, "2": Fraction(1, 2), "3": Fraction(1, 2)}
-    keys = ("0", "1", "2", "3") if variant == "four_dits_single" else _SUBSETS_3_OF_4
-    per_choice = {k: v for k, v in zip(keys, bit_vals.values())}
-    values = {(k, str(b)): v for k, v in per_choice.items() for b in (0, 1)}
-    return report(per_choice, values)
+        },
+    )
 
 
 def trivial_two_strings_simulation(d: int) -> dict[str, float]:
@@ -399,29 +396,3 @@ def trivial_two_strings_simulation(d: int) -> dict[str, float]:
             probs = [abs(b.overlap(ket)) ** 2 for b in basis]
             worst = min(worst, probs[a0 * d + a1])
     return {"0": worst, "1": 1.0 / d**2}
-
-
-def report_to_json(report: ProtocolReport) -> str:
-    payload = {
-        "d": report.d,
-        "variant": report.variant,
-        "p_avg": report.p_avg,
-        "p_min": report.p_min,
-        "per_choice": report.per_choice,
-        "per_string": {
-            choice: {value: p for (c, value), p in sorted(report.per_string.items()) if c == choice}
-            for choice in report.per_choice
-        },
-        "details": report.details,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def report_to_csv(report: ProtocolReport) -> str:
-    """One row per (choice, requested value); dot decimals, comma delimiter."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["choice", "value", "probability"])
-    for (c, value), p in sorted(report.per_string.items()):
-        writer.writerow([c, value, f"{p!r}"])
-    return buf.getvalue()

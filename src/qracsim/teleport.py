@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F
+from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F, fraction_json
 from .pauli import weyl
 
 POVM_SUM_TOL = 1e-10
@@ -79,10 +79,7 @@ class StrategyResult:
             "details": self.details,
         }
         if self.exact is not None:
-            payload["exact"] = {
-                "numerator": self.exact.numerator,
-                "denominator": self.exact.denominator,
-            }
+            payload["exact"] = fraction_json(self.exact)
         return payload
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qracsim.bounds import (
     AsymSpec,
     CloningParams,
-    BoundResult,
     asym_closed_form_n2,
     asym_optimize,
     fully_entangled_fraction,
@@ -290,10 +289,3 @@ class TestMonogamyScan:
         assert np.allclose(scan.residuals_head, expected, rtol=0, atol=1e-12)
         assert scan.min_residual == pytest.approx(min(expected), rel=0, abs=1e-12)
 
-
-def test_bound_result_json_dict():
-    fr = symmetric_bound(2, 2)
-    result = BoundResult(label="symmetric", value=float(fr), exact=fr)
-    payload = result.to_json_dict()
-    assert payload["exact"] == {"numerator": 3, "denominator": 4}
-    assert payload["value"] == 0.75

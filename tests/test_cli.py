@@ -97,6 +97,12 @@ class TestBoundsCommand:
             main(["bounds", "asym", "--d", "2", "--p", "0.5", "0.5", "--restarts", "4"])
         capsys.readouterr()
 
+    def test_symmetric_json(self, capsys):
+        _, out = run_cli(capsys, "bounds", "symmetric", "--d", "2", "--N", "2", "--format", "json")
+        payload = json.loads(out)
+        assert payload["exact"] == {"numerator": 3, "denominator": 4}
+        assert payload["value"] == 0.75
+
     def test_asym_json(self, capsys):
         _, out = run_cli(capsys, "bounds", "asym", "--d", "2", "--p", "0.5", "0.5", "--format", "json")
         payload = json.loads(out)
@@ -207,6 +213,21 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: measurement basis incomplete")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_report_directory_is_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["reproduce-all", "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write reports: ")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_output_file_is_one_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["teleport", "--d", "2", "--k", "2", "--format", "json", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
 
     def test_negative_seed_writes_no_artifact(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qracsim.cli import main
 from qracsim.codes import (
     EncodingTable,
     _all_cycles,
@@ -28,8 +29,6 @@ from qracsim.qracse import (
     f_qracse,
     measurement_basis,
     measurement_exponent,
-    report_to_csv,
-    report_to_json,
     run_four_bit_variants,
     run_protocol,
     trivial_strategy,
@@ -491,14 +490,15 @@ class TestBooleanFunction:
 class TestReportSerialisation:
     def test_json_round_trip(self):
         report = run_protocol(QracTask(d=2, table=builtin_table(2), variant="two_strings"))
-        payload = json.loads(report_to_json(report))
+        payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["d"] == 2
         assert payload["p_avg"] == report.p_avg
         assert payload["per_string"]["0"]["00"] == report.per_string[("0", "00")]
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, capsys):
         report = run_protocol(QracTask(d=2, table=builtin_table(2), variant="two_strings"))
-        lines = report_to_csv(report).splitlines()
+        assert main(["qracse", "--d", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "choice,value,probability"
         assert len(lines) == 1 + len(report.per_string)
         assert "." in lines[1].split(",")[2]
