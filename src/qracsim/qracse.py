@@ -23,8 +23,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .codes import EncodingTable, validate
-from .pauli import frac_power_x, frac_power_z
+from .codes import EncodingTable, builtin_table, validate
+from .pauli import bell_basis, frac_power_x, frac_power_z, weyl
 from .qcore import Ket, apply_to_bell_half
 
 VARIANTS = ("two_strings", "four_dits_pairs", "four_dits_single", "boolean_f")
@@ -316,8 +316,6 @@ def run_four_bit_variants(d: int, table: EncodingTable | None = None) -> dict[st
     if d != 2:
         raise ValueError("the four-bit variants are defined for d=2")
     if table is None:
-        from .codes import builtin_table
-
         table = builtin_table(2)
     return {
         "pairs": run_protocol(QracTask(d=2, table=table, variant="four_dits_pairs")),
@@ -335,8 +333,6 @@ def f_qracse(truth_table, d: int = 2, table: EncodingTable | None = None) -> Pro
         raise ValueError("the Boolean-function variant is defined for d=2")
     f = tuple(int(v) for v in truth_table)
     if table is None:
-        from .codes import builtin_table
-
         table = builtin_table(2)
     return run_protocol(QracTask(d=2, table=table, variant="boolean_f", boolean_function=f))
 
@@ -386,8 +382,6 @@ def trivial_two_strings_simulation(d: int) -> dict[str, float]:
     the integer Bell basis (this part is simulated exactly); the second
     string is a uniform guess contributing 1/d^2 by construction.
     """
-    from .pauli import bell_basis, weyl
-
     basis = bell_basis(d)
     worst = 1.0
     for a0 in range(d):

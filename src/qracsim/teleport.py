@@ -16,11 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F, fraction_json
+from .codes import builtin_table
 from .pauli import weyl
+from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F, fraction_json
+from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
 POVM_PSD_TOL = -1e-10
@@ -35,18 +39,18 @@ class Povm:
 
     def __post_init__(self):
         dim = self.d * self.d
-        elems = []
-        for m in self.elements:
-            m = np.asarray(m, dtype=complex)
+        # read-only views: the elements cannot change, and the caller's arrays keep their flags
+        elems = tuple(np.asarray(m, dtype=complex).view() for m in self.elements)
+        for m in elems:
             if m.shape != (dim, dim):
                 raise ValueError(f"POVM element has shape {m.shape}, expected {(dim, dim)}")
-            if np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < POVM_PSD_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
-            elems.append(m)
-        total = sum(elems)
-        if np.max(np.abs(total - np.eye(dim))) > POVM_SUM_TOL:
+            m.setflags(write=False)
+        stack = np.array(elems).reshape(-1, dim, dim)
+        if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < POVM_PSD_TOL):
+            raise ValueError("POVM element is not positive semidefinite")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "elements", elems)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -93,6 +97,34 @@ def _bell_projector(d: int, w: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+def _branch_overlap(d: int, state: np.ndarray, element: np.ndarray, target: np.ndarray) -> float:
+    """<s| (U^dagger T U)_CB (x) M_DA |s> on the four sites A, B, C, D."""
+    dims = [d, d, d, d]
+    measured = apply(element, (3, 0), state, dims)
+    return expectation(target, (2, 1), state, dims, ket=measured).real
+
+
+class _BellFrame(NamedTuple):
+    """The parts of the protocol that do not depend on k, indexed by the
+    outcome label i = a d + b.  All arrays are read-only."""
+
+    weyls: np.ndarray  # X^a Z^b
+    projectors: np.ndarray  # B_i, which is also the target pulled back through U_i
+    state: np.ndarray  # psi+_AB (x) psi+_CD
+    overlaps: tuple[float, ...]  # branch overlap of outcome i with POVM element B_i^T, i < d^2 - 1
+
+
+@lru_cache(maxsize=None)
+def _bell_frame(d: int) -> _BellFrame:
+    weyls = np.array([weyl(d, a, b) for a, b in _weyl_labels(d)])
+    projectors = np.array([_bell_projector(d, w) for w in weyls])
+    state = np.kron(bell_state(d).amplitudes, bell_state(d).amplitudes)
+    for array in (weyls, projectors, state):
+        array.setflags(write=False)
+    overlaps = tuple(_branch_overlap(d, state, b.T, b) for b in projectors[:-1])
+    return _BellFrame(weyls, projectors, state, overlaps)
+
+
 def constrained_povm(d: int, k: int) -> Povm:
     """k-outcome POVM: k-1 transposed Bell projectors plus the transposed complement.
 
@@ -102,38 +134,31 @@ def constrained_povm(d: int, k: int) -> Povm:
         raise ValueError("supported dimensions are 2 <= d <= 8")
     if not 1 <= k <= d * d:
         raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
-    projectors = [_bell_projector(d, weyl(d, a, b)) for a, b in _weyl_labels(d)[: k - 1]]
+    projectors = _bell_frame(d).projectors[: k - 1]
     last = np.eye(d * d) - sum(projectors)
     return Povm(d=d, elements=tuple(m.T for m in [*projectors, last]))
-
-
-def correction_unitaries(d: int, k: int) -> list[np.ndarray]:
-    """Bob's corrections: the inverse Weyl operator per outcome label."""
-    return [weyl(d, a, b).conj().T for a, b in _weyl_labels(d)[:k]]
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     """End-to-end simulation of teleportation with only k classical messages.
 
     Four subsystems A, B, C, D each of dimension d carry psi+_AB (x) psi+_CD.
-    The POVM acts on (D, A) and Bob's correction on B; the overlap of the
-    corrected (C, B) branch with |psi+> is summed over outcomes.  The input
-    is pure and the correction commutes with the POVM element, so tracing
-    out A and D leaves the matrix element <s| (U^dagger T U)_CB (x) M_DA |s>
-    on the state vector, with T = |psi+><psi+|.  The exact value k/d^2 is
+    The POVM acts on (D, A) and Bob's correction U_i = (X^a Z^b)^dagger on
+    B; the overlap of the corrected (C, B) branch with |psi+> is summed over
+    outcomes.  The input is pure and the correction commutes with the POVM
+    element, so tracing out A and D leaves the matrix element
+    <s| (U^dagger T U)_CB (x) M_DA |s> on the state vector, with
+    T = |psi+><psi+|.  The term of each Bell outcome B_i^T does not depend
+    on k: it is simulated once per d and reused by every call.  The
+    complement outcome is simulated per call.  The exact value k/d^2 is
     reported alongside.
     """
     povm = constrained_povm(d, k)
-    corrections = correction_unitaries(d, k)
-    dims = [d, d, d, d]  # A, B, C, D
-    state = np.kron(bell_state(d).amplitudes, bell_state(d).amplitudes)
-
+    frame = _bell_frame(d)
     total = 0.0
-    for element, u_b in zip(povm.elements, corrections):
-        measured = apply(element, (3, 0), state, dims)
-        # the target pulled back through the correction: (1 (x) u)^dagger T (1 (x) u)
-        target = _bell_projector(d, u_b.conj().T)
-        total += expectation(target, (2, 1), state, dims, ket=measured).real
+    for overlap in frame.overlaps[: k - 1]:
+        total += overlap
+    total += _branch_overlap(d, frame.state, povm.elements[-1], frame.projectors[k - 1])
 
     exact = Fraction(k, d * d)
     f = float(f_from_F(exact, d))
@@ -209,9 +234,6 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
     """
     if d != 2:
         raise ValueError("the composite strategy is implemented for d=2")
-    from .codes import builtin_table
-    from .qracse import QracTask, run_protocol
-
     report = run_protocol(QracTask(d=d, table=builtin_table(d), variant="two_strings"))
     F = report.p_avg
 
@@ -236,14 +258,12 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
 
 
 def _max_wrong_correction_overlap(d: int) -> float:
-    labels = _weyl_labels(d)
+    weyls = _bell_frame(d).weyls
     worst = 0.0
-    for a1, b1 in labels:
-        for a2, b2 in labels:
-            if (a1, b1) == (a2, b2):
-                continue
-            w = weyl(d, a1, b1) @ weyl(d, a2, b2).conj().T
-            worst = max(worst, abs(np.trace(w) / d) ** 2)
+    for i, wi in enumerate(weyls):
+        for j, wj in enumerate(weyls):
+            if i != j:
+                worst = max(worst, abs(np.trace(wi @ wj.conj().T) / d) ** 2)
     return worst
 
 
@@ -251,32 +271,28 @@ def _composite_full_state_fidelity(d: int) -> float:
     """Explicit teleportation layer: two reference pairs, two shared pairs,
     Bell projectors on Alice's side, decoder statistics, Weyl corrections,
     all applied to the 8-site state vector."""
-    from .codes import builtin_table
-    from .qracse import _inverse_array, _kernel
-
     table = builtin_table(d)
     inv = _inverse_array(table)
     kernels = {c: _kernel(d, c) for c in (0, 1)}
+    frame = _bell_frame(d)
 
     dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
-    psi = bell_state(d).amplitudes
-    state = np.kron(np.kron(psi, psi), np.kron(psi, psi))
+    state = np.kron(frame.state, frame.state)
     labels = _weyl_labels(d)
-    targets = {(ga, gb): _bell_projector(d, weyl(d, ga, gb)) for ga, gb in labels}
     pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
 
     total = {0: 0.0, 1: 0.0}
-    for a1, b1 in labels:
-        first = apply(_bell_projector(d, weyl(d, a1, b1)).T, (1, 2), state, dims)
-        for a2, b2 in labels:
-            branch = apply(_bell_projector(d, weyl(d, a2, b2)).T, (5, 6), first, dims)
+    for (a1, b1), p1 in zip(labels, frame.projectors):
+        first = apply(p1.T, (1, 2), state, dims)
+        for (a2, b2), p2 in zip(labels, frame.projectors):
+            branch = apply(p2.T, (5, 6), first, dims)
             e0 = inv[a1, a2]
             e1 = inv[b1, b2]
             for c in (0, 1):
-                for ga, gb in labels:
+                for (ga, gb), target in zip(labels, frame.projectors):
                     p_dec = float(kernels[c][e0, ga] * kernels[c][e1, gb])
                     if p_dec < 1e-15:
                         continue
-                    overlap = expectation(targets[ga, gb], pair_sites[c], state, dims, ket=branch).real
+                    overlap = expectation(target, pair_sites[c], state, dims, ket=branch).real
                     total[c] += p_dec * overlap
     return 0.5 * (total[0] + total[1])

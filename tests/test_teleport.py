@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from qracsim.pauli import weyl
 from qracsim.teleport import (
     Povm,
     StrategyResult,
+    _bell_frame,
     composite_nsqrac_via_qracse,
     constrained_povm,
     constrained_teleport_fidelity,
@@ -67,6 +70,26 @@ class TestConstrainedPovm:
         with pytest.raises(ValueError):
             Povm(d=2, elements=(bad, rest))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_povm_type_finds_the_negative_element_anywhere(self, position):
+        elements = [np.diag([1.0, 0.0, 0.5, 0.5]), np.diag([0.5, 0.5, 0.0, 0.0])]
+        elements.insert(position, np.eye(4) - sum(elements))  # eigenvalue -0.5
+        with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
+            Povm(d=2, elements=tuple(elements))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_frame_and_elements_are_read_only(self, d):
+        before = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
+        arrays = [a for a in _bell_frame(d) if isinstance(a, np.ndarray)]
+        for k in range(1, d * d + 1):
+            arrays.extend(constrained_povm(d, k).elements)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 7.0
+        after = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
+        assert after == before
+
 
 class TestConstrainedTeleportation:
     @pytest.mark.parametrize("d", [2, 3])
@@ -97,6 +120,27 @@ class TestConstrainedTeleportation:
     def test_transmission_fidelity_consistent(self):
         result = constrained_teleport_fidelity(2, 3)
         assert result.transmission_fidelity_f == pytest.approx((2 * 0.75 + 1) / 3, abs=1e-12)
+
+
+# repr of entanglement_fidelity_F recorded before the Bell outcomes were cached
+# per d: every (d, k) for d = 2..5, the favored strategy and the split strategy
+# with k' in {0, d, d^2} for d = 2..4
+GOLDEN_TELEPORT = json.loads((Path(__file__).parent / "golden_teleport.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN_TELEPORT,
+    ids=lambda c: c["strategy"] + "".join(f"-{key}{value}" for key, value in c.items() if key not in ("strategy", "F")),
+)
+def test_fidelity_matches_golden(case):
+    if case["strategy"] == "constrained":
+        result = constrained_teleport_fidelity(case["d"], case["k"])
+    elif case["strategy"] == "favored":
+        result = nsqrac_favored_strategy(case["d"])
+    else:
+        result = nsqrac_split_strategy(case["d"], case["k_prime"])
+    assert repr(result.entanglement_fidelity_F) == case["F"]
 
 
 class TestSplitStrategy:
