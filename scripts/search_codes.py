@@ -23,13 +23,17 @@ def main() -> int:
     parser.add_argument("--json", action="store_true", help="emit machine-readable results")
     args = parser.parse_args()
 
-    results = []
-    for seed in args.seeds:
-        res = search_tables(args.d, objective=args.objective, budget=args.budget, seed=seed)
+    try:
+        if min(args.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {min(args.seeds)}")
+        results = [search_tables(args.d, objective=args.objective, budget=args.budget, seed=s) for s in args.seeds]
+    except ValueError as exc:  # bad --d, --budget or --seeds
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for seed, res in zip(args.seeds, results):
         if not validate(res.table).valid:
             print(f"error: seed {seed} returned an invalid table {res.table.to_json()}", file=sys.stderr)
             return 1
-        results.append(res)
 
     best = max(results, key=lambda r: r.score)
     report = run_protocol(QracTask(d=args.d, table=best.table, variant="two_strings"))

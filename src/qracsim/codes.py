@@ -10,9 +10,10 @@ torus of Weyl exponents the indices are mapped onto.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -163,39 +164,44 @@ def _rook_neighbours(d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cycles(d: int, start: int, order: Callable[[int], Iterable[int]]) -> Iterator[list[int]]:
+def _cycles(d: int, start: int, rng: np.random.Generator | None = None) -> Iterator[list[int]]:
     """Hamiltonian cycles of the rook graph of the d x d digit grid that begin
-    at ``start``, as cells a*d + b, found lazily depth first.  ``order(k)``
-    gives the order in which the k neighbours of the path's end are tried."""
+    at ``start``, as cells a*d + b, found lazily depth first.  The neighbours
+    of the path's end are tried in a fixed order, or shuffled by ``rng``."""
     nbrs = _rook_neighbours(d)
+    n = d * d
     path = [start]
-    used = [False] * (d * d)
+    used = [False] * n
     used[start] = True
 
-    def extend() -> Iterator[list[int]]:
-        if len(path) == d * d:
-            if path[0] in nbrs[path[-1]]:
-                yield list(path)
-            return
-        options = nbrs[path[-1]]
-        for i in order(len(options)):
-            nxt = options[i]
-            if used[nxt]:
-                continue
+    def options(cell: int) -> Iterator[int]:
+        cells = list(nbrs[cell])
+        if rng is not None:
+            rng.shuffle(cells)
+        return iter(cells)
+
+    stack = [options(start)]  # untried neighbours of each cell on the path
+    while stack:
+        for nxt in stack[-1]:
+            if not used[nxt]:
+                break
+        else:
+            stack.pop()
+            used[path.pop()] = False
+            continue
+        if len(path) == n - 1:
+            if start in nbrs[nxt]:
+                yield path + [nxt]
+        else:
             path.append(nxt)
             used[nxt] = True
-            yield from extend()
-            path.pop()
-            used[nxt] = False
-
-    return extend()
+            stack.append(options(nxt))
 
 
-def _random_cycle(d: int, rng: np.random.Generator) -> list[int] | None:
+def _random_cycle(d: int, rng: np.random.Generator) -> list[int]:
     """Random Hamiltonian cycle on the rook graph: the first one a depth-first
     search from a random cell finds, trying neighbours in random order."""
-    start = int(rng.integers(d * d))
-    return next(_cycles(d, start, lambda k: rng.permutation(k).tolist()), None)
+    return next(_cycles(d, int(rng.integers(d * d)), rng))
 
 
 @lru_cache(maxsize=None)
@@ -206,17 +212,22 @@ def _all_cycles(d: int) -> np.ndarray:
     dimensions the search enumerates.  d = 4 has 284 112 undirected cycles,
     which give 9 091 584 tables (16 starts times 2 directions each).
     """
-    cycles = np.array(sorted(c for start in range(d * d) for c in _cycles(d, start, range)), dtype=np.intp)
+    cycles = np.array(sorted(c for start in range(d * d) for c in _cycles(d, start)), dtype=np.intp)
     cycles.setflags(write=False)
     return cycles
 
 
 @lru_cache(maxsize=None)
-def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moves of one climb step on a cycle of n = d^2 cells, and the one-digit steps.
+def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moves of one climb step on a cycle of n = d^2 cells, the joins each
+    move makes, and the one-digit steps.
 
     Row r - 1 of ``moves`` takes a cycle to its rotation by r; the rows after
     them reverse the segment [i..j] for each i < j in row-major order.
+    ``joins[r]`` holds the two pairs of positions whose cells become
+    neighbours under move r, so a move keeps a valid cycle valid exactly when
+    both pairs are one-digit steps.  Rotations and the full reversal join no
+    new cells; their pairs repeat positions 0 and 1, neighbours already.
     ``one_step[p, q]`` says whether cells p and q differ in exactly one digit.
     """
     n = d * d
@@ -224,11 +235,20 @@ def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, 1)
     reversals = np.where((k >= i[:, None]) & (k <= j[:, None]), (i + j)[:, None] - k, k)
     moves = np.concatenate([(k + k[1:, None]) % n, reversals])
+    joins = np.stack([(i - 1) % n, j, i, (j + 1) % n], axis=1)
+    joins[(i == 0) & (j == n - 1)] = (0, 1, 0, 1)
+    joins = np.concatenate([np.tile((0, 1, 0, 1), (n - 1, 1)), joins]).reshape(-1, 2, 2)
     a, b = np.divmod(k, d)
     one_step = (a[:, None] != a) ^ (b[:, None] != b)
-    moves.setflags(write=False)
-    one_step.setflags(write=False)
-    return moves, one_step
+    for array in (moves, joins, one_step):
+        array.setflags(write=False)
+    return moves, joins, one_step
+
+
+# Restarts climbing at once in one round of the search; each round step scores
+# the move lists of all of them in one batch, so this caps the batch's rows and
+# with them the search's peak memory.
+_ROUND_CLIMBS = 16
 
 
 def search_tables(
@@ -244,11 +264,17 @@ def search_tables(
     of the rook graph, climbing by rotation and segment-reversal moves.
     ``budget`` caps the number of distinct tables evaluated.  The generated
     table (and the built-in one where it exists) is always evaluated first,
-    so the result never scores below it.  Each climb step scores its whole
-    move list in one batch and takes the first improving move; the scores
-    past that move are not counted and do not change the result.
-    Deterministic for a fixed seed; ties break to the lexicographically
-    smallest pair sequence.
+    so the result never scores below it.  Each climb step takes the first
+    move that improves the score; the scores past that move are not counted
+    and do not change the result.
+
+    Restarts climb in rounds of up to 16, with one scorer batch for one
+    step of every climb in the round, and the tables each climb walks
+    through are counted against the budget in start order.  The result is
+    the same as climbing the restarts one at a time: every table's score is
+    exact and independent of its batch, so a climb's path depends only on
+    its start.  Deterministic for a fixed seed; ties break to the
+    lexicographically smallest pair sequence.
     """
     from .qracse import _two_string_values  # local import; qracse depends on this module
 
@@ -263,35 +289,64 @@ def search_tables(
 
     n = d * d
     rng = np.random.default_rng(seed)
-    evaluated: dict[tuple[int, ...], float] = {}  # cells a*d + b of each table -> score
+    evaluated: dict[bytes, float] = {}  # uint8 cells a*d + b of each table -> score
 
-    def score(cycles: np.ndarray) -> list[float]:
+    def score(cycles: np.ndarray) -> np.ndarray:
         invs = np.full(cycles.shape, -1, dtype=np.intp)
         np.put_along_axis(invs, cycles, np.arange(n), axis=1)
         per_string, per_choice = _two_string_values(invs.reshape(-1, d, d))
         if objective == "p_min":
-            return per_string.reshape(len(cycles), -1).min(axis=1).tolist()
-        return per_choice.mean(axis=1).tolist()
+            return per_string.reshape(len(cycles), -1).min(axis=1)
+        return per_choice.mean(axis=1)
 
-    def walk(cycles: np.ndarray, beat: float = np.inf) -> int | None:
-        """Evaluate the rows in order until one scores above ``beat`` (its
-        index is returned) or the budget runs out; rows seen before are free."""
-        keys = list(map(tuple, cycles.tolist()))
-        unseen: dict[tuple[int, ...], int] = {}
-        room = budget - len(evaluated)
-        for row, key in enumerate(keys):
-            if key not in evaluated and key not in unseen:
-                if len(unseen) == room:  # out of budget: evaluation stops here
-                    keys = keys[:row]
-                    break
-                unseen[key] = row
-        scores = dict(zip(unseen, score(cycles[list(unseen.values())]))) if unseen else {}
-        for row, key in enumerate(keys):
+    def keys(cycles: np.ndarray) -> list[bytes]:
+        return cycles.astype(np.uint8).view(np.dtype((np.void, n))).ravel().tolist()
+
+    def count(walked: Iterable[tuple[bytes, float]]) -> None:
+        """Count the walked tables in order until the budget runs out; tables
+        seen before are free."""
+        for key, value in walked:
             if key not in evaluated:
-                evaluated[key] = scores[key]
-            if evaluated[key] > beat + 1e-12:
-                return row
-        return None
+                if len(evaluated) == budget:
+                    return
+                evaluated[key] = value
+
+    def walk(cycles: np.ndarray) -> None:
+        count(zip(keys(cycles), score(cycles).tolist()))
+
+    def climb_round(size: int) -> None:
+        """Climb ``size`` fresh restarts in lockstep, counting each climb's
+        tables once every earlier climb is counted, until the budget runs out."""
+        current = np.array([_random_cycle(d, rng) for _ in range(size)], dtype=np.intp)
+        beats = score(current)  # each climb's score to beat
+        walked = [[(key, value)] for key, value in zip(keys(current), beats.tolist())]
+        active = np.arange(size)  # climbs still moving, in start order
+        head = 0  # the first climb not yet fully counted
+        while head < size:
+            count(walked[head])
+            if len(evaluated) == budget:
+                return
+            walked[head] = []
+            if not len(active) or active[0] != head:
+                head += 1
+                continue
+            cycles = current[active]
+            joined = cycles[:, joins]
+            owner, move = np.nonzero(one_step[joined[..., 0], joined[..., 1]].all(axis=2))
+            rows = cycles[owner[:, None], all_moves[move]]  # each active climb's move list, one after another
+            values = score(rows)
+            counts = np.bincount(owner, minlength=len(active))
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            hits = np.append(np.flatnonzero(values > np.repeat(beats[active], counts) + 1e-12), len(rows))
+            accepted = hits[np.searchsorted(hits, starts)]  # first improving row of each list, if below its end
+            moved = accepted < ends
+            row_keys, row_values = keys(rows), values.tolist()
+            for climb, lo, hi in zip(active.tolist(), starts.tolist(), np.minimum(accepted + 1, ends).tolist()):
+                walked[climb].extend(zip(row_keys[lo:hi], row_values[lo:hi]))
+            active = active[moved]
+            current[active] = rows[accepted[moved]]
+            beats[active] = values[accepted[moved]]
 
     def cells(pairs: tuple[Pair, ...]) -> np.ndarray:
         return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)
@@ -303,22 +358,18 @@ def search_tables(
     if d == 2 or (d == 3 and budget >= len(_all_cycles(3))):
         walk(_all_cycles(d))
     else:
-        all_moves, one_step = _climb_moves(d)
+        all_moves, joins, one_step = _climb_moves(d)
+        seeded, climbs = len(evaluated), 0
         while len(evaluated) < budget:
-            cycle = _random_cycle(d, rng)
-            if cycle is None:
-                break
-            current = np.array(cycle, dtype=np.intp)
-            walk(current[None])
-            while len(evaluated) < budget:
-                moves = current[all_moves]
-                moves = moves[one_step[moves, np.roll(moves, -1, axis=1)].all(axis=1)]
-                accepted = walk(moves, evaluated[tuple(current.tolist())])
-                if accepted is None:
-                    break
-                current = moves[accepted]
+            # one restart first, then as many as the budget left needs at the
+            # tables per climb counted so far
+            room, climbed = budget - len(evaluated), max(len(evaluated) - seeded, 1)
+            size = min(_ROUND_CLIMBS, math.ceil(room * climbs / climbed)) if climbs else 1
+            climbs += size
+            climb_round(size)
 
-    best = min(evaluated, key=lambda cycle: (-evaluated[cycle], cycle))
+    top = max(evaluated.values())
+    best = min(key for key, value in evaluated.items() if value == top)
     return SearchResult(
         table=EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in best)),
         score=evaluated[best],

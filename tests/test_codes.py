@@ -4,14 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qracsim.qracse
 from qracsim.codes import (
     EncodingTable,
     SearchResult,
     TableUnavailableError,
+    _climb_moves,
+    _random_cycle,
+    _ROUND_CLIMBS,
     builtin_table,
     generate_single_distance,
     search_tables,
@@ -207,6 +212,19 @@ class TestSearchScript:
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--d", "7"], ["--d", "3", "--budget", "0"], ["--d", "3", "--seeds", "-1"]], ids=lambda f: f[-2]
+    )
+    def test_bad_input_is_one_error_line(self, flags, capsys, monkeypatch):
+        import runpy
+
+        main = runpy.run_path(str(SCRIPT))["main"]
+        monkeypatch.setattr(sys, "argv", ["search_codes.py", *flags])
+        assert main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
 
 # SearchResult (table, score, evaluations) recorded before the climb scored its
 # moves in batches, for d = 3..5, both objectives, budgets 50/500, seeds 0/1
@@ -221,6 +239,72 @@ def test_search_matches_golden(case):
     assert result.table.pairs == tuple(tuple(p) for p in case["table"])
     assert result.score == case["score"]
     assert result.evaluations == case["evaluations"]
+
+
+def test_search_scores_bounded_batches(monkeypatch):
+    # a round scores one step of each of its climbs per batch, so a batch never
+    # holds more than a full move list for every climb of the round
+    batches = []
+    scorer = qracsim.qracse._two_string_values
+
+    def recording(invs):
+        batches.append(len(invs))
+        return scorer(invs)
+
+    monkeypatch.setattr(qracsim.qracse, "_two_string_values", recording)
+    assert search_tables(4, "p_min", 10000, 0).evaluations == 10000
+    assert max(batches) <= _ROUND_CLIMBS * len(_climb_moves(4)[0])
+    assert max(batches) > len(_climb_moves(4)[0])  # climbs do share batches
+
+
+def hash_scorer(modulus):
+    """Stand-in for ``qracse._two_string_values``: every table scores a weighted
+    sum of its inverse array mod ``modulus``, scaled into [0, 1), on each
+    string and choice.  Like the real scorer, each row's value depends on that
+    row alone, but the hash scores differ from table to table, so climbs move.
+    With the real scorer the d = 4 and 5 searches return the generated table
+    they start from, which pins little about the climb."""
+
+    def values(invs):
+        m, d, _ = invs.shape
+        weights = np.array([pow(31, k, modulus) for k in range(d * d)], dtype=np.int64)
+        score = (invs.reshape(m, -1).astype(np.int64) @ weights) % modulus / modulus
+        return np.broadcast_to(score[:, None, None, None], (m, 2, d, d)), np.broadcast_to(score[:, None], (m, 2))
+
+    return values
+
+
+# fine: almost every table scores differently, which pins the set of counted tables;
+# coarse: many ties, which pins the tie-break
+HASH_MODULI = {"fine": 1_000_003, "coarse": 997}
+
+# _random_cycle draws, and search_tables results under the hash scorers, recorded
+# before the restarts climbed in rounds
+GOLDEN_TRAJECTORY = json.loads((Path(__file__).parent / "golden_search_trajectory.json").read_text())
+
+
+def _trajectory_id(case):
+    if case["kind"] == "cycle":
+        return f"cycle-d{case['d']}-s{case['seed']}"
+    return f"{case['scorer']}-d{case['d']}-{case['objective']}-b{case['budget']}-s{case['seed']}"
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRAJECTORY, ids=_trajectory_id)
+def test_search_trajectory_matches_golden(case, monkeypatch):
+    if case["kind"] == "cycle":
+        rng = np.random.default_rng(case["seed"])
+        assert {"cycle": _random_cycle(case["d"], rng), "next": int(rng.integers(2**32))} == {
+            "cycle": case["cycle"],
+            "next": case["next"],
+        }
+        return
+    monkeypatch.setattr(qracsim.qracse, "_two_string_values", hash_scorer(HASH_MODULI[case["scorer"]]))
+    result = search_tables(case["d"], case["objective"], case["budget"], case["seed"])
+    assert (json.loads(result.table.to_json()), result.score, result.evaluations) == (
+        case["table"],
+        case["score"],
+        case["evaluations"],
+    )
 
 
 @settings(max_examples=30, deadline=None)
