@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,16 +57,20 @@ def clock_z(d: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
+@lru_cache(maxsize=None)
 def dft(d: int) -> np.ndarray:
     """Discrete Fourier matrix F[j, k] = omega^(j k)/sqrt(d), omega = exp(2 pi i/d).
 
     With this sign choice F^dag diag(1, omega, ..., omega^(d-1)) F = shift_x(d),
-    which is the direction the fractional powers below rely on.
+    which is the direction the fractional powers below rely on.  Built once
+    per d; the returned array is shared and read-only.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    f = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    f.setflags(write=False)
+    return f
 
 
 def frac_power_z(d: int, t: ExponentLike) -> np.ndarray:

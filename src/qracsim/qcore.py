@@ -8,8 +8,10 @@ is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -117,6 +119,19 @@ def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
     return Ket(op.reshape(-1) / np.sqrt(d))
 
 
+@lru_cache(maxsize=256)
+def _plan(dims: tuple[int, ...], sites: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Contraction plan of :func:`apply`: the axis order that brings ``sites``
+    to the front (in their order), its inverse, the local dimension and the
+    total size."""
+    n = len(dims)
+    if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
+        raise ValueError(f"invalid site list {list(sites)} for {n} subsystems")
+    order = sites + tuple(i for i in range(n) if i not in sites)
+    inverse = tuple(sorted(range(n), key=order.__getitem__))
+    return order, inverse, math.prod(dims[s] for s in sites), math.prod(dims)
+
+
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """Apply an operator to the given sites of a state vector.
 
@@ -124,23 +139,23 @@ def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequenc
     ``sites`` (in that order) and acts as the identity elsewhere; ``state``
     has ``prod(dims)`` amplitudes.  Returns the new state with the shape of
     ``state``.  Only the operator's sites are contracted, so the full
-    operator is never formed.
+    operator is never formed: the state's tensor is permuted so that the
+    sites lead, multiplied by ``op`` as an (L, prod(rest)) matrix and
+    permuted back.  These are the operands ``np.tensordot`` would pass to
+    ``np.dot``, so the result is the same to the bit.
     """
     op = ensure_square(op)
-    dims = list(dims)
-    n = len(dims)
-    sites = list(sites)
-    if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
-        raise ValueError(f"invalid site list {sites} for {n} subsystems")
-    local = [dims[s] for s in sites]
-    if op.shape[0] != int(np.prod(local)):
-        raise ValueError(f"operator dim {op.shape[0]} does not match sites {sites}")
+    dims = tuple(dims)
+    sites = tuple(sites)
+    order, inverse, local, total = _plan(dims, sites)
+    if op.shape[0] != local:
+        raise ValueError(f"operator dim {op.shape[0]} does not match sites {list(sites)}")
     state = np.asarray(state, dtype=complex)
-    if state.size != int(np.prod(dims)):
-        raise ValueError(f"state of size {state.size} does not match subsystem dims {dims}")
-    k = len(sites)
-    out = np.tensordot(op.reshape(local + local), state.reshape(dims), axes=(list(range(k, 2 * k)), sites))
-    return np.moveaxis(out, list(range(k)), sites).reshape(state.shape)
+    if state.size != total:
+        raise ValueError(f"state of size {state.size} does not match subsystem dims {list(dims)}")
+    tensor = state.reshape(dims).transpose(order)
+    out = np.dot(op, tensor.reshape(local, -1))
+    return out.reshape(tensor.shape).transpose(inverse).reshape(state.shape)
 
 
 def expectation(

@@ -158,7 +158,8 @@ def _kernel(d: int, s: int) -> np.ndarray:
     (b0, b1) with probability K_sx[e0, b0] K_sz[e1, b1].  Every row must sum
     to one; the engine refuses to continue if it does not.
     """
-    u = [[Fraction(e, d) - measurement_exponent(d, s, b) for b in range(d)] for e in range(d * d)]
+    exponents = [measurement_exponent(d, s, b) for b in range(d)]
+    u = [[Fraction(e, d) - x for x in exponents] for e in range(d * d)]
     kernel = _kappa(d, np.array(u, dtype=float))
     norm_err = _normalisation_error(kernel)
     if norm_err > OUTCOME_NORMALISATION_TOL:

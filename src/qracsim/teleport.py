@@ -30,6 +30,29 @@ POVM_SUM_TOL = 1e-10
 POVM_PSD_TOL = -1e-10
 
 
+def _check_psd(stack: np.ndarray) -> None:
+    """Raise unless every matrix of the (n, dim, dim) stack is positive semidefinite."""
+    if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < POVM_PSD_TOL):
+        raise ValueError("POVM element is not positive semidefinite")
+
+
+def _checked_elements(d: int, elements, trusted: int) -> tuple[np.ndarray, ...]:
+    """Read-only views of the elements, checked for shape, for positivity from
+    index ``trusted`` on, and for summing to the identity."""
+    dim = d * d
+    # read-only views: the elements cannot change, and the caller's arrays keep their flags
+    elems = tuple(np.asarray(m, dtype=complex).view() for m in elements)
+    for m in elems:
+        if m.shape != (dim, dim):
+            raise ValueError(f"POVM element has shape {m.shape}, expected {(dim, dim)}")
+        m.setflags(write=False)
+    stack = np.array(elems).reshape(-1, dim, dim)
+    _check_psd(stack[trusted:])
+    if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > POVM_SUM_TOL:
+        raise ValueError("POVM elements do not sum to the identity")
+    return elems
+
+
 @dataclass(frozen=True)
 class Povm:
     """Finite measurement: PSD elements on a d^2-dimensional space summing to 1."""
@@ -38,19 +61,17 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        dim = self.d * self.d
-        # read-only views: the elements cannot change, and the caller's arrays keep their flags
-        elems = tuple(np.asarray(m, dtype=complex).view() for m in self.elements)
-        for m in elems:
-            if m.shape != (dim, dim):
-                raise ValueError(f"POVM element has shape {m.shape}, expected {(dim, dim)}")
-            m.setflags(write=False)
-        stack = np.array(elems).reshape(-1, dim, dim)
-        if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < POVM_PSD_TOL):
-            raise ValueError("POVM element is not positive semidefinite")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > POVM_SUM_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", _checked_elements(self.d, self.elements, trusted=0))
+
+    @classmethod
+    def _extend(cls, d: int, trusted: tuple[np.ndarray, ...], rest: tuple[np.ndarray, ...]) -> "Povm":
+        """Povm of ``trusted + rest`` whose ``trusted`` elements are already
+        known to be positive semidefinite: only ``rest`` is checked for that,
+        completeness is checked in full."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "d", d)
+        object.__setattr__(povm, "elements", _checked_elements(d, (*trusted, *rest), trusted=len(trusted)))
+        return povm
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -91,9 +112,9 @@ def _weyl_labels(d: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(d) for b in range(d)]
 
 
-def _bell_projector(d: int, w: np.ndarray) -> np.ndarray:
-    """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger."""
-    ket = np.kron(np.eye(d), w) @ bell_state(d).amplitudes
+def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger, with psi the amplitudes of |psi+>."""
+    ket = np.kron(np.eye(d), w) @ psi
     return np.outer(ket, ket.conj())
 
 
@@ -106,7 +127,9 @@ def _branch_overlap(d: int, state: np.ndarray, element: np.ndarray, target: np.n
 
 class _BellFrame(NamedTuple):
     """The parts of the protocol that do not depend on k, indexed by the
-    outcome label i = a d + b.  All arrays are read-only."""
+    outcome label i = a d + b.  All arrays are read-only, and the transposed
+    projectors B_i^T are checked positive semidefinite once, when the frame
+    is built."""
 
     weyls: np.ndarray  # X^a Z^b
     projectors: np.ndarray  # B_i, which is also the target pulled back through U_i
@@ -116,9 +139,11 @@ class _BellFrame(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _bell_frame(d: int) -> _BellFrame:
+    psi = bell_state(d).amplitudes
     weyls = np.array([weyl(d, a, b) for a, b in _weyl_labels(d)])
-    projectors = np.array([_bell_projector(d, w) for w in weyls])
-    state = np.kron(bell_state(d).amplitudes, bell_state(d).amplitudes)
+    projectors = np.array([_bell_projector(d, w, psi) for w in weyls])
+    _check_psd(projectors.transpose(0, 2, 1))
+    state = np.kron(psi, psi)
     for array in (weyls, projectors, state):
         array.setflags(write=False)
     overlaps = tuple(_branch_overlap(d, state, b.T, b) for b in projectors[:-1])
@@ -128,7 +153,9 @@ def _bell_frame(d: int) -> _BellFrame:
 def constrained_povm(d: int, k: int) -> Povm:
     """k-outcome POVM: k-1 transposed Bell projectors plus the transposed complement.
 
-    The d^2 x d^2 elements are dense, so the dimension is capped at 8.
+    The d^2 x d^2 elements are dense, so the dimension is capped at 8.  The
+    Bell elements were checked positive semidefinite with the frame; each
+    call checks the complement and the completeness.
     """
     if not 2 <= d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
@@ -136,7 +163,7 @@ def constrained_povm(d: int, k: int) -> Povm:
         raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
     projectors = _bell_frame(d).projectors[: k - 1]
     last = np.eye(d * d) - sum(projectors)
-    return Povm(d=d, elements=tuple(m.T for m in [*projectors, last]))
+    return Povm._extend(d, tuple(m.T for m in projectors), (last.T,))
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
@@ -150,16 +177,10 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     <s| (U^dagger T U)_CB (x) M_DA |s> on the state vector, with
     T = |psi+><psi+|.  The term of each Bell outcome B_i^T does not depend
     on k: it is simulated once per d and reused by every call.  The
-    complement outcome is simulated per call.  The exact value k/d^2 is
-    reported alongside.
+    complement outcome is simulated once per (d, k); every call returns a
+    fresh result.  The exact value k/d^2 is reported alongside.
     """
-    povm = constrained_povm(d, k)
-    frame = _bell_frame(d)
-    total = 0.0
-    for overlap in frame.overlaps[: k - 1]:
-        total += overlap
-    total += _branch_overlap(d, frame.state, povm.elements[-1], frame.projectors[k - 1])
-
+    total = _simulated_fidelity(d, k)
     exact = Fraction(k, d * d)
     f = float(f_from_F(exact, d))
     return StrategyResult(
@@ -170,6 +191,18 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
         exact=exact,
         details={"d": d, "k": k, "exact_float": float(exact)},
     )
+
+
+@lru_cache(maxsize=None)
+def _simulated_fidelity(d: int, k: int) -> float:
+    """Sum of the branch overlaps of the k-outcome protocol: the cached Bell
+    terms plus the complement outcome, simulated here."""
+    povm = constrained_povm(d, k)
+    frame = _bell_frame(d)
+    total = 0.0
+    for overlap in frame.overlaps[: k - 1]:
+        total += overlap
+    return total + _branch_overlap(d, frame.state, povm.elements[-1], frame.projectors[k - 1])
 
 
 def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,14 @@ class TestReproduceAll:
             assert (out_dir / name).exists()
         payload = json.loads((out_dir / "summary.json").read_text())
         assert payload["hard_failures"] == 0
+
+    def test_artifacts_match_golden_digests(self, reproduction):
+        """Every artifact of the reference run has the sha256 in golden_reproduce.json."""
+        out_dir, _, _ = reproduction
+        golden = json.loads((Path(__file__).parent / "golden_reproduce.json").read_text())
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+        assert golden["seed"] == 20220314  # the seed of the shared reproduction fixture
+        assert digests == golden["sha256"]
 
     def test_table4_csv_shape(self, reproduction):
         out_dir, _, _ = reproduction

@@ -47,6 +47,9 @@ class TestDft:
     def test_unitary(self, d):
         f = dft(d)
         assert np.allclose(f @ f.conj().T, np.eye(d), atol=1e-12)
+        # built once per d and shared, so no caller may write to it
+        assert dft(d) is f
+        assert not f.flags.writeable
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_conjugation_direction(self, d):

@@ -98,7 +98,44 @@ def _full_operator(op, sites, dims):
     return perm.T @ full @ perm
 
 
+def _tensordot_reference(op, sites, state, dims):
+    """The contraction as np.tensordot and np.moveaxis write it."""
+    k = len(sites)
+    local = [dims[s] for s in sites]
+    out = np.tensordot(op.reshape(local + local), state.reshape(dims), axes=(list(range(k, 2 * k)), list(sites)))
+    return np.moveaxis(out, list(range(k)), list(sites)).reshape(state.shape)
+
+
+@st.composite
+def _contractions(draw):
+    """(op, sites, state, dims): up to 8 sites of dimension at most 4, a
+    random operator on a random ordered subset of them, and a state given as
+    a vector or as a tensor."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(lambda ds: np.prod(ds) <= 4096))
+    sites = draw(st.permutations(range(len(dims))))[: draw(st.integers(1, min(len(dims), 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    local = int(np.prod([dims[s] for s in sites]))
+    op = rng.standard_normal((local, local))
+    if not draw(st.booleans()):  # complex; otherwise real, converted by apply
+        op = op + 1j * rng.standard_normal((local, local))
+    if draw(st.booleans()):
+        op = op.T  # an F-ordered view
+    state = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+    if draw(st.booleans()):
+        state = state.reshape(dims)
+    return op, sites, state, dims
+
+
 class TestApply:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_contractions())
+    def test_bitwise_equal_to_tensordot(self, case):
+        op, sites, state, dims = case
+        expected = _tensordot_reference(np.asarray(op, dtype=complex), sites, state, dims)
+        got = apply(op, sites, state, dims)
+        assert got.shape == state.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_single_site_matches_kron(self):
         rng = np.random.default_rng(4)
         psi = _random_state(4, rng)

@@ -284,6 +284,14 @@ def test_kernel_rows_sum_to_one(d, s):
     assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("s", [0, 1])
+def test_kernel_equals_per_cell_exponents_bitwise(d, s):
+    # the kernel as first written: one measurement_exponent per cell
+    u = [[Fraction(e, d) - measurement_exponent(d, s, b) for b in range(d)] for e in range(d * d)]
+    assert _kernel(d, s).tobytes() == _kappa(d, np.array(u, dtype=float)).tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("sx, sz", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_kernel_product_matches_ket_overlaps(d, sx, sz):

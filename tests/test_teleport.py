@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qracsim import teleport
 from qracsim.pauli import weyl
 from qracsim.teleport import (
     Povm,
@@ -90,8 +91,49 @@ class TestConstrainedPovm:
         after = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
         assert after == before
 
+    def test_warm_povm_checks_only_the_complement(self, monkeypatch):
+        constrained_povm(8, 64)  # builds and checks the d = 8 frame
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        povm = constrained_povm(8, 64)
+        assert len(povm) == 64
+        assert sum(seen) <= 1
+
+    def test_frame_rejects_a_negative_projector(self, monkeypatch):
+        # the frame's own check is the one the warm calls rely on
+        monkeypatch.setattr(teleport, "_bell_projector", lambda d, w, psi: -np.eye(d * d))
+        _bell_frame.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
+                _bell_frame(2)
+        finally:
+            _bell_frame.cache_clear()
+
+    def test_complement_is_checked_per_call(self, monkeypatch):
+        constrained_povm(2, 3)
+        monkeypatch.setattr(teleport, "POVM_PSD_TOL", 1.0)  # no element passes
+        with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
+            constrained_povm(2, 3)
+
 
 class TestConstrainedTeleportation:
+    def test_repeated_calls_do_not_share_results(self):
+        first = constrained_teleport_fidelity(3, 5)
+        second = constrained_teleport_fidelity(3, 5)
+        assert first is not second
+        assert first.details is not second.details
+        first.details["k"] = 99
+        first.details["extra"] = True
+        assert second.details == {"d": 3, "k": 5, "exact_float": 5 / 9}
+        assert constrained_teleport_fidelity(3, 5).details == {"d": 3, "k": 5, "exact_float": 5 / 9}
+        assert second.entanglement_fidelity_F == first.entanglement_fidelity_F
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_fidelity_sweep(self, d):
         for k in range(1, d * d + 1):
