@@ -59,16 +59,6 @@ class EncodingTable:
                 raise ValueError(f"digit pair ({a}, {b}) out of range for d={self.d}")
         object.__setattr__(self, "pairs", pairs)
 
-    def index_of(self, pair: Pair) -> int:
-        """Encoding index of a digit pair; the table must be bijective."""
-        try:
-            return self.pairs.index((int(pair[0]), int(pair[1])))
-        except ValueError:
-            raise ValueError(f"pair {tuple(pair)} not present in the table") from None
-
-    def inverse(self) -> dict[Pair, int]:
-        return {p: e for e, p in enumerate(self.pairs)}
-
     def to_json(self) -> str:
         return json.dumps([[a, b] for a, b in self.pairs])
 

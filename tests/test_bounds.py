@@ -18,8 +18,8 @@ from qracsim.bounds import (
     werner_fidelity,
 )
 from qracsim import bounds
-from qracsim.pauli import weyl
 from qracsim.qcore import DensityMatrix, bell_state, expectation
+from reference import weyl
 
 
 class TestWernerFidelity:

@@ -112,11 +112,6 @@ class TestTableType:
         with pytest.raises(ValueError):
             EncodingTable(d=2, pairs=((0, 0), (0, 2), (1, 1), (1, 0)))
 
-    def test_index_of_missing_pair(self):
-        table = EncodingTable(d=2, pairs=((0, 0), (0, 0), (1, 1), (1, 0)))
-        with pytest.raises(ValueError):
-            table.index_of((0, 1))
-
     @pytest.mark.parametrize("d", range(2, 7))
     def test_json_round_trip(self, d):
         table = generate_single_distance(d)

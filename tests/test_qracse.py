@@ -17,21 +17,26 @@ from qracsim.codes import (
     search_tables,
     validate,
 )
-from qracsim.qcore import apply_to_bell_half, bell_state, states_equal
-from qracsim.pauli import frac_power_x, frac_power_z
+from qracsim.qcore import bell_state
 from qracsim.qracse import (
     QracTask,
     _inverse_array,
     _kappa,
     _kernel,
     _two_string_values,
-    encode,
     f_qracse,
-    measurement_basis,
     measurement_exponent,
     run_four_bit_variants,
     run_protocol,
     trivial_strategy,
+)
+from reference import (
+    apply_to_bell_half,
+    encode,
+    frac_power_x,
+    frac_power_z,
+    measurement_basis,
+    states_equal,
     trivial_two_strings_simulation,
 )
 
@@ -52,7 +57,7 @@ def phasor_mean_sq(d, u):
 
 def oracle_success(d, table, strings, c):
     (al0, al1), (be0, be1) = strings
-    inv = table.inverse()
+    inv = {pair: e for e, pair in enumerate(table.pairs)}
     e0 = inv[(al0, be0)]
     e1 = inv[(al1, be1)]
     guess = (al0, al1) if c == 0 else (be0, be1)

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from qracsim import teleport
-from qracsim.pauli import weyl
 from qracsim.teleport import (
     Povm,
     StrategyResult,
     _bell_frame,
+    _weyl,
     composite_nsqrac_via_qracse,
     constrained_povm,
     constrained_teleport_fidelity,
     nsqrac_favored_strategy,
     nsqrac_split_strategy,
 )
+from reference import frac_power_x, frac_power_z, weyl
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -164,25 +165,58 @@ class TestConstrainedTeleportation:
         assert result.transmission_fidelity_f == pytest.approx((2 * 0.75 + 1) / 3, abs=1e-12)
 
 
-# repr of entanglement_fidelity_F recorded before the Bell outcomes were cached
-# per d: every (d, k) for d = 2..5, the favored strategy and the split strategy
-# with k' in {0, d, d^2} for d = 2..4
+# repr of entanglement_fidelity_F for every (d, k) with d = 2..5, the favored
+# strategy and the split strategy with k' in {0, d, d^2} for d = 2..4
 GOLDEN_TELEPORT = json.loads((Path(__file__).parent / "golden_teleport.json").read_text())
-
-
-@pytest.mark.parametrize(
+golden_cases = pytest.mark.parametrize(
     "case",
     GOLDEN_TELEPORT,
     ids=lambda c: c["strategy"] + "".join(f"-{key}{value}" for key, value in c.items() if key not in ("strategy", "F")),
 )
-def test_fidelity_matches_golden(case):
+
+
+def _golden_fidelity(case) -> float:
     if case["strategy"] == "constrained":
         result = constrained_teleport_fidelity(case["d"], case["k"])
     elif case["strategy"] == "favored":
         result = nsqrac_favored_strategy(case["d"])
     else:
         result = nsqrac_split_strategy(case["d"], case["k_prime"])
-    assert repr(result.entanglement_fidelity_F) == case["F"]
+    return result.entanglement_fidelity_F
+
+
+@golden_cases
+def test_fidelity_matches_golden(case):
+    assert repr(_golden_fidelity(case)) == case["F"]
+
+
+@golden_cases
+def test_fidelity_is_within_rounding_of_exact(case):
+    d = case["d"]
+    exact = {
+        "constrained": Fraction(case.get("k", 0), d * d),
+        "favored": (1 + Fraction(1, d * d)) / 2,
+        "split": Fraction(1, 2),
+    }[case["strategy"]]
+    assert abs(Fraction(_golden_fidelity(case)) - exact) <= 1.2e-15
+
+
+class TestExactWeyl:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_fractional_power_route(self, d):
+        for a in range(d):
+            for b in range(d):
+                reference = frac_power_x(d, a) @ frac_power_z(d, b)
+                assert np.max(np.abs(_weyl(d, a, b) - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_is_a_permutation_times_unit_phases(self, d):
+        for a in range(d):
+            for b in range(d):
+                w = _weyl(d, a, b)
+                nonzero = w != 0
+                assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+                assert np.max(np.abs(np.abs(w[nonzero]) - 1.0)) <= 1e-15
 
 
 class TestSplitStrategy:
