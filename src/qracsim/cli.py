@@ -139,12 +139,14 @@ def cmd_qracse(args) -> Output:
         "f": "boolean_f",
     }[args.variant]
     table = _resolve_table(args)
+    boolean_function = None
     if variant == "boolean_f":
         if len(args.truth_table) != 8 or set(args.truth_table) - {"0", "1"}:
             raise ValueError(f"--truth-table must be 8 binary digits such as 00010111, got {args.truth_table!r}")
-        report = qracse.f_qracse(tuple(map(int, args.truth_table)), d=args.d, table=table)
-    else:
-        report = qracse.run_protocol(qracse.QracTask(d=args.d, table=table, variant=variant))
+        boolean_function = tuple(map(int, args.truth_table))
+    report = qracse.run_protocol(
+        qracse.QracTask(d=args.d, table=table, variant=variant, boolean_function=boolean_function)
+    )
     trivial = qracse.trivial_strategy(args.d, variant)
 
     payload = {"protocol": report.to_json_dict(), "trivial": trivial.to_json_dict()}
@@ -257,8 +259,9 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
     write("table4.csv", _csv_from_rows(["d", "P_min", "trivial_P_min", "P_avg", "trivial_P_avg"], table4_rows))
 
     # four-bit variants and the Boolean-function task
-    variants = qracse.run_four_bit_variants(2)
-    pairs, single = variants["pairs"], variants["single"]
+    table = codes.builtin_table(2)
+    pairs = qracse.run_protocol(qracse.QracTask(d=2, table=table, variant="four_dits_pairs"))
+    single = qracse.run_protocol(qracse.QracTask(d=2, table=table, variant="four_dits_single"))
     trivial_pairs = qracse.trivial_strategy(2, "four_dits_pairs")
     trivial_single = qracse.trivial_strategy(2, "four_dits_single")
     checks.append(_check("pairs_p_min", pairs.p_min, 0.364, 2e-3))
@@ -277,8 +280,10 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
     checks.append(_check("single_p_avg", single.p_avg, 0.728, 2e-3))
     checks.append(_check_true("pairs_trivial_exact", (trivial_pairs.p_avg, trivial_pairs.p_min) == (13 / 24, 0.25)))
     checks.append(_check_true("single_trivial_exact", (trivial_single.p_avg, trivial_single.p_min) == (0.75, 0.5)))
-    majority = qracse.f_qracse((0, 0, 0, 1, 0, 1, 1, 1))
-    parity = qracse.f_qracse((0, 1, 1, 0, 1, 0, 0, 1))
+    majority, parity = (
+        qracse.run_protocol(qracse.QracTask(d=2, table=table, variant="boolean_f", boolean_function=f))
+        for f in ((0, 0, 0, 1, 0, 1, 1, 1), (0, 1, 1, 0, 1, 0, 0, 1))
+    )
     checks.append(_check("f_majority_p_min", majority.p_min, 0.728, 2e-3))
     checks.append(_check("f_parity_p_min", parity.p_min, 0.728, 2e-3))
     write(

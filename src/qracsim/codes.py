@@ -19,17 +19,8 @@ import numpy as np
 
 Pair = tuple[int, int]
 
-# published tables for d = 2, 3, 4; entry e -> (a0, a1)
-_BUILTIN: dict[int, tuple[Pair, ...]] = {
-    2: ((0, 0), (0, 1), (1, 1), (1, 0)),
-    3: ((0, 0), (0, 1), (0, 2), (1, 2), (1, 0), (1, 1), (2, 1), (2, 2), (2, 0)),
-    4: (
-        (0, 0), (0, 1), (0, 2), (0, 3),
-        (1, 3), (1, 0), (1, 1), (1, 2),
-        (2, 2), (2, 3), (2, 0), (2, 1),
-        (3, 1), (3, 2), (3, 3), (3, 0),
-    ),
-}
+# dimensions whose tables are published; generate_single_distance builds them
+_PUBLISHED_DIMENSIONS = (2, 3, 4)
 
 
 class TableUnavailableError(LookupError):
@@ -61,14 +52,6 @@ class EncodingTable:
 
     def to_json(self) -> str:
         return json.dumps([[a, b] for a, b in self.pairs])
-
-    @staticmethod
-    def from_json(text: str) -> "EncodingTable":
-        data = json.loads(text)
-        d = int(round(np.sqrt(len(data))))
-        if d * d != len(data):
-            raise ValueError(f"array length {len(data)} is not a perfect square")
-        return EncodingTable(d=d, pairs=tuple((int(a), int(b)) for a, b in data))
 
 
 @dataclass(frozen=True)
@@ -114,12 +97,13 @@ def validate(table: EncodingTable) -> ValidationReport:
 
 
 def builtin_table(d: int) -> EncodingTable:
-    """The published table for d in {2, 3, 4}."""
-    if d not in _BUILTIN:
+    """The published table for d in {2, 3, 4}, which is the Gray construction
+    of :func:`generate_single_distance` at those dimensions."""
+    if d not in _PUBLISHED_DIMENSIONS:
         raise TableUnavailableError(
             f"no built-in table for d={d}; use generate_single_distance or search_tables"
         )
-    return EncodingTable(d=d, pairs=_BUILTIN[d])
+    return generate_single_distance(d)
 
 
 def generate_single_distance(d: int) -> EncodingTable:
@@ -127,8 +111,8 @@ def generate_single_distance(d: int) -> EncodingTable:
 
     Entry e = r*d + j maps to (r, (j - r) mod d): within a run the second
     digit cycles through 0..d-1 (starting at -r mod d), and between runs only
-    the first digit steps.  For d in {2, 3, 4} this reproduces the built-in
-    tables entry by entry.
+    the first digit steps.  For d in {2, 3, 4} these are the published
+    tables, entry by entry.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -253,10 +237,10 @@ def search_tables(
     valid tables; otherwise seeded random restarts over Hamiltonian cycles
     of the rook graph, climbing by rotation and segment-reversal moves.
     ``budget`` caps the number of distinct tables evaluated.  The generated
-    table (and the built-in one where it exists) is always evaluated first,
-    so the result never scores below it.  Each climb step takes the first
-    move that improves the score; the scores past that move are not counted
-    and do not change the result.
+    table, which is the built-in one where that exists, is always evaluated
+    first, so the result never scores below it.  Each climb step takes the
+    first move that improves the score; the scores past that move are not
+    counted and do not change the result.
 
     Restarts climb in rounds of up to 16, with one scorer batch for one
     step of every climb in the round, and the tables each climb walks
@@ -342,8 +326,6 @@ def search_tables(
         return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)
 
     walk(cells(generate_single_distance(d).pairs))
-    if d in _BUILTIN:
-        walk(cells(_BUILTIN[d]))
 
     if d == 2 or (d == 3 and budget >= len(_all_cycles(3))):
         walk(_all_cycles(d))

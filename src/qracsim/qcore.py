@@ -51,13 +51,6 @@ class Ket:
             raise ValueError(f"ket must be normalised, |norm - 1| = {abs(np.linalg.norm(v) - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", v)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def overlap(self, other: "Ket") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -74,10 +67,6 @@ class DensityMatrix:
         if np.linalg.eigvalsh(m)[0] < PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3e}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def bell_state(d: int) -> Ket:

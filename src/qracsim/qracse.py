@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .codes import EncodingTable, builtin_table, validate
+from .codes import EncodingTable, validate
 
 VARIANTS = ("two_strings", "four_dits_pairs", "four_dits_single", "boolean_f")
 
@@ -37,7 +37,12 @@ _SUBSETS_3_OF_4 = tuple("".join(str(i) for i in s) for s in combinations(range(4
 
 @dataclass(frozen=True)
 class QracTask:
-    """One protocol configuration: dimension, encoding table and task variant."""
+    """One protocol configuration: dimension, encoding table and task variant.
+
+    The Boolean variant needs ``boolean_function``, the truth table of
+    f: {0,1}^3 -> {0,1}: entry i is f on the bits of i (most significant
+    first), so majority-of-3 is (0, 0, 0, 1, 0, 1, 1, 1).
+    """
 
     d: int
     table: EncodingTable
@@ -282,32 +287,6 @@ def run_protocol(task: QracTask) -> ProtocolReport:
     if not 2 <= task.d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
     return (_run_two_strings if task.variant == "two_strings" else _run_four_bit)(task)
-
-
-def run_four_bit_variants(d: int, table: EncodingTable | None = None) -> dict[str, ProtocolReport]:
-    """Both four-bit variants (guess a pair, guess a single bit) at d=2."""
-    if d != 2:
-        raise ValueError("the four-bit variants are defined for d=2")
-    if table is None:
-        table = builtin_table(2)
-    return {
-        "pairs": run_protocol(QracTask(d=2, table=table, variant="four_dits_pairs")),
-        "single": run_protocol(QracTask(d=2, table=table, variant="four_dits_single")),
-    }
-
-
-def f_qracse(truth_table, d: int = 2, table: EncodingTable | None = None) -> ProtocolReport:
-    """Boolean-function variant for f: {0,1}^3 -> {0,1} given as a truth table.
-
-    ``truth_table[i]`` is f evaluated on the bits of i (most significant
-    first), so majority-of-3 is (0, 0, 0, 1, 0, 1, 1, 1).
-    """
-    if d != 2:
-        raise ValueError("the Boolean-function variant is defined for d=2")
-    f = tuple(int(v) for v in truth_table)
-    if table is None:
-        table = builtin_table(2)
-    return run_protocol(QracTask(d=2, table=table, variant="boolean_f", boolean_function=f))
 
 
 def trivial_strategy(d: int, variant: str = "two_strings") -> ProtocolReport:

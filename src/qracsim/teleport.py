@@ -35,47 +35,6 @@ def _check_psd(stack: np.ndarray) -> None:
         raise ValueError("POVM element is not positive semidefinite")
 
 
-def _checked_elements(d: int, elements, trusted: int) -> tuple[np.ndarray, ...]:
-    """Read-only views of the elements, checked for shape, for positivity from
-    index ``trusted`` on, and for summing to the identity."""
-    dim = d * d
-    # read-only views: the elements cannot change, and the caller's arrays keep their flags
-    elems = tuple(np.asarray(m, dtype=complex).view() for m in elements)
-    for m in elems:
-        if m.shape != (dim, dim):
-            raise ValueError(f"POVM element has shape {m.shape}, expected {(dim, dim)}")
-        m.setflags(write=False)
-    stack = np.array(elems).reshape(-1, dim, dim)
-    _check_psd(stack[trusted:])
-    if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > POVM_SUM_TOL:
-        raise ValueError("POVM elements do not sum to the identity")
-    return elems
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Finite measurement: PSD elements on a d^2-dimensional space summing to 1."""
-
-    d: int
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _checked_elements(self.d, self.elements, trusted=0))
-
-    @classmethod
-    def _extend(cls, d: int, trusted: tuple[np.ndarray, ...], rest: tuple[np.ndarray, ...]) -> "Povm":
-        """Povm of ``trusted + rest`` whose ``trusted`` elements are already
-        known to be positive semidefinite: only ``rest`` is checked for that,
-        completeness is checked in full."""
-        povm = object.__new__(cls)
-        object.__setattr__(povm, "d", d)
-        object.__setattr__(povm, "elements", _checked_elements(d, (*trusted, *rest), trusted=len(trusted)))
-        return povm
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 @dataclass(frozen=True)
 class StrategyResult:
     """Outcome of one strategy: fidelities, success probability and provenance."""
@@ -157,20 +116,26 @@ def _bell_frame(d: int) -> _BellFrame:
     return _BellFrame(projectors, state, overlaps)
 
 
-def constrained_povm(d: int, k: int) -> Povm:
-    """k-outcome POVM: k-1 transposed Bell projectors plus the transposed complement.
+def constrained_povm(d: int, k: int) -> tuple[np.ndarray, ...]:
+    """k-outcome POVM: k-1 transposed Bell projectors plus the transposed
+    complement, as read-only d^2 x d^2 arrays.
 
-    The d^2 x d^2 elements are dense, so the dimension is capped at 8.  The
-    Bell elements were checked positive semidefinite with the frame; each
-    call checks the complement and the completeness.
+    The elements are dense, so the dimension is capped at 8.  The Bell
+    elements were checked positive semidefinite with the frame; each call
+    checks the complement and the completeness.
     """
     if not 2 <= d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
     if not 1 <= k <= d * d:
         raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
     projectors = _bell_frame(d).projectors[: k - 1]
-    last = np.eye(d * d) - sum(projectors)
-    return Povm._extend(d, tuple(m.T for m in projectors), (last.T,))
+    last = np.asarray((np.eye(d * d) - sum(projectors)).T, dtype=complex)
+    last.setflags(write=False)
+    _check_psd(last[None])
+    povm = (*(m.T for m in projectors), last)
+    if np.max(np.abs(np.array(povm).sum(axis=0) - np.eye(d * d))) > POVM_SUM_TOL:
+        raise ValueError("POVM elements do not sum to the identity")
+    return povm
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
@@ -209,7 +174,7 @@ def _simulated_fidelity(d: int, k: int) -> float:
     total = 0.0
     for overlap in frame.overlaps[: k - 1]:
         total += overlap
-    return total + _branch_overlap(d, frame.state, povm.elements[-1], frame.projectors[k - 1])
+    return total + _branch_overlap(d, frame.state, povm[-1], frame.projectors[k - 1])
 
 
 def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:

@@ -1,12 +1,13 @@
 """Reference builders the tests use as independent oracles.
 
 Generalised Pauli (Weyl) operators with fractional exponents, the Bell
-basis, and the ket-level encoding and measurement of the coding protocol.
-The package never builds any of these: it reads the protocol off two
-closed-form kernels and builds integer Weyl operators exactly.  These
-builders take the other route, through the Fourier matrix and one ket at a
-time, so a test that compares the two checks the package against code it
-does not share.
+basis, the ket-level encoding and measurement of the coding protocol, and
+the published encoding tables as transcribed.  The package never builds
+any of these: it reads the protocol off two closed-form kernels, builds
+integer Weyl operators exactly and generates its tables.  These builders
+take the other route, through the Fourier matrix and one ket at a time, so
+a test that compares the two checks the package against code it does not
+share.
 
 The shift and clock matrices act on the computational basis as
 X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>.  Fractional powers are
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from qracsim.codes import EncodingTable, validate
+from qracsim.codes import EncodingTable, Pair, validate
 from qracsim.qcore import Ket, ensure_square
 from qracsim.qracse import measurement_exponent
 
@@ -31,12 +32,29 @@ ExponentLike = int | float | Fraction
 
 PHASE_EQUALITY_TOL = 1e-10
 
+# published tables for d = 2, 3, 4; entry e -> (a0, a1)
+PUBLISHED_TABLES: dict[int, tuple[Pair, ...]] = {
+    2: ((0, 0), (0, 1), (1, 1), (1, 0)),
+    3: ((0, 0), (0, 1), (0, 2), (1, 2), (1, 0), (1, 1), (2, 1), (2, 2), (2, 0)),
+    4: (
+        (0, 0), (0, 1), (0, 2), (0, 3),
+        (1, 3), (1, 0), (1, 1), (1, 2),
+        (2, 2), (2, 3), (2, 0), (2, 1),
+        (3, 1), (3, 2), (3, 3), (3, 0),
+    ),
+}
+
+
+def overlap(a: Ket, b: Ket) -> complex:
+    """Inner product <a|b>."""
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
 
 def states_equal(a: Ket, b: Ket, tol: float = PHASE_EQUALITY_TOL) -> bool:
     """Equality up to global phase: |<a|b>| = 1 within tol."""
-    if a.dim != b.dim:
+    if a.amplitudes.size != b.amplitudes.size:
         return False
-    return abs(abs(a.overlap(b)) - 1.0) <= tol
+    return abs(abs(overlap(a, b)) - 1.0) <= tol
 
 
 def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
@@ -144,6 +162,6 @@ def trivial_two_strings_simulation(d: int) -> dict[str, float]:
     for a0 in range(d):
         for a1 in range(d):
             ket = apply_to_bell_half(weyl(d, a0, a1), d)
-            probs = [abs(b.overlap(ket)) ** 2 for b in basis]
+            probs = [abs(overlap(b, ket)) ** 2 for b in basis]
             worst = min(worst, probs[a0 * d + a1])
     return {"0": worst, "1": 1.0 / d**2}

@@ -11,7 +11,7 @@ import pytest
 
 from qracsim import bounds, codes, qracse, teleport
 from qracsim.cli import run_reproduction
-from reference import bell_basis, frac_power_x, frac_power_z, measurement_basis
+from reference import bell_basis, frac_power_x, frac_power_z, measurement_basis, overlap
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -176,8 +176,9 @@ def test_04_two_string_protocol_d3_tabulated_row_soft(two_string_reports, reprod
 def test_05_four_bit_variants():
     """criterion 5: pair variant 0.364/~0.605, single-bit 0.728, exact baselines"""
     with _Recorder("criterion 5") as rec:
-        variants = qracse.run_four_bit_variants(2)
-        pairs, single = variants["pairs"], variants["single"]
+        table = codes.builtin_table(2)
+        pairs = qracse.run_protocol(qracse.QracTask(d=2, table=table, variant="four_dits_pairs"))
+        single = qracse.run_protocol(qracse.QracTask(d=2, table=table, variant="four_dits_single"))
         rec.check(abs(pairs.p_min - 0.364) <= 2e-3, f"pairs p_min {pairs.p_min!r}")
         rec.check(abs(pairs.p_avg - 0.607) <= 5e-3, f"pairs p_avg {pairs.p_avg!r} vs stated 0.607")
         rec.check(abs(pairs.p_avg - 0.604) <= 5e-3, f"pairs p_avg {pairs.p_avg!r} vs tabulated 0.604")
@@ -257,15 +258,15 @@ def test_10_property_suites():
         for d in (2, 3, 4, 5):
             for k in {1, 2, d * d}:
                 povm = teleport.constrained_povm(d, k)
-                total = sum(povm.elements)
+                total = sum(povm)
                 rec.check(np.max(np.abs(total - np.eye(d * d))) <= 1e-10, f"POVM completeness d={d} k={k}")
                 rec.check(
-                    min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in povm.elements) >= -1e-10,
+                    min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in povm) >= -1e-10,
                     f"POVM positivity d={d} k={k}",
                 )
             for c in (0, 1):
                 basis = measurement_basis(d, c)
-                gram = np.array([[a.overlap(b) for b in basis] for a in basis])
+                gram = np.array([[overlap(a, b) for b in basis] for a in basis])
                 rec.check(
                     np.max(np.abs(gram - np.eye(d * d))) <= 1e-10,
                     f"measurement orthonormality d={d} c={c}",
@@ -285,7 +286,7 @@ def test_10_property_suites():
                         f"Weyl power unitarity d={d} t={t}",
                     )
             bb = bell_basis(d)
-            gram = np.array([[a.overlap(b) for b in bb] for a in bb])
+            gram = np.array([[overlap(a, b) for b in bb] for a in bb])
             rec.check(np.max(np.abs(gram - np.eye(d * d))) <= 1e-12, f"Bell basis d={d}")
 
 

@@ -290,6 +290,13 @@ class TestNumericalFailures:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "variant, name", [("pairs", "four_dits_pairs"), ("single", "four_dits_single"), ("f", "boolean_f")]
+    )
+    def test_d2_only_variants_share_one_message(self, capsys, variant, name):
+        assert main(["qracse", "--d", "3", "--variant", variant]) == 2
+        assert capsys.readouterr().err == f"error: variant {name!r} is defined for d=2 only\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["teleport", "--d", "9", "--k", "81"],

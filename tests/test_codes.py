@@ -22,6 +22,7 @@ from qracsim.codes import (
     search_tables,
     validate,
 )
+from reference import PUBLISHED_TABLES
 
 
 def digit_changes(p, q):
@@ -83,7 +84,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_builtin(self, d):
-        assert generate_single_distance(d).pairs == builtin_table(d).pairs
+        # the transcribed published tables are the oracle for the generated ones
+        assert generate_single_distance(d).pairs == builtin_table(d).pairs == PUBLISHED_TABLES[d]
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_run_structure(self, d):
@@ -115,7 +117,7 @@ class TestTableType:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_json_round_trip(self, d):
         table = generate_single_distance(d)
-        again = EncodingTable.from_json(table.to_json())
+        again = EncodingTable(d, tuple(map(tuple, json.loads(table.to_json()))))
         assert again == table
 
     def test_json_is_pair_array(self):

@@ -24,9 +24,7 @@ from qracsim.qracse import (
     _kappa,
     _kernel,
     _two_string_values,
-    f_qracse,
     measurement_exponent,
-    run_four_bit_variants,
     run_protocol,
     trivial_strategy,
 )
@@ -36,6 +34,7 @@ from reference import (
     frac_power_x,
     frac_power_z,
     measurement_basis,
+    overlap,
     states_equal,
     trivial_two_strings_simulation,
 )
@@ -128,7 +127,7 @@ class TestMeasurementBasis:
     @pytest.mark.parametrize("c", [0, 1])
     def test_orthonormal(self, d, c):
         vecs = measurement_basis(d, c)
-        gram = np.array([[a.overlap(b) for b in vecs] for a in vecs])
+        gram = np.array([[overlap(a, b) for b in vecs] for a in vecs])
         assert np.max(np.abs(gram - np.eye(d * d))) < 1e-10
 
     def test_qubit_convention_coincides_with_general(self):
@@ -218,7 +217,7 @@ def brute_force_per_string(d, table):
         basis = measurement_basis(d, c)
         for v in product(range(d), repeat=2):
             strings = [(v, other) if c == 0 else (other, v) for other in product(range(d), repeat=2)]
-            probs = [abs(basis[v[0] * d + v[1]].overlap(kets[s])) ** 2 for s in strings]
+            probs = [abs(overlap(basis[v[0] * d + v[1]], kets[s])) ** 2 for s in strings]
             values[(str(c), f"{v[0]}{v[1]}")] = float(np.mean(probs))
     return values
 
@@ -353,9 +352,12 @@ class TestTrivialStrategy:
         assert sim["1"] == pytest.approx(exact.per_choice["1"], abs=1e-12)
 
 
+FOUR_BIT_VARIANTS = {"pairs": "four_dits_pairs", "single": "four_dits_single"}
+
+
 @pytest.fixture(scope="module")
 def variants():
-    return run_four_bit_variants(2)
+    return {key: run_protocol(QracTask(d=2, table=builtin_table(2), variant=v)) for key, v in FOUR_BIT_VARIANTS.items()}
 
 
 class TestFourBitVariants:
@@ -385,10 +387,6 @@ class TestFourBitVariants:
         assert variants["pairs"].p_min > trivial_strategy(2, "four_dits_pairs").p_min
         assert variants["single"].p_min > trivial_strategy(2, "four_dits_single").p_min
 
-    def test_rejects_other_dimensions(self):
-        with pytest.raises(ValueError):
-            run_four_bit_variants(3)
-
 
 # ---------------------------------------------------------------- d = 2 oracle
 #
@@ -409,7 +407,7 @@ def basis_ket(sx, sz, b0, b1):
 
 def decode_success(table, word, sx, sz):
     ket = encode(2, table, word[:2], word[2:])
-    return abs(basis_ket(sx, sz, word[2 * sx], word[1 + 2 * sz]).overlap(ket)) ** 2
+    return abs(overlap(basis_ket(sx, sz, word[2 * sx], word[1 + 2 * sz]), ket)) ** 2
 
 
 def pairs_samples(table):
@@ -465,8 +463,14 @@ def test_eight_valid_d2_tables():
 @pytest.mark.parametrize("variant", ["pairs", "single"])
 def test_four_bit_variants_match_ket_oracle(index, variant):
     table = VALID_D2_TABLES[index]
-    report = run_four_bit_variants(2, table)[variant]
+    report = run_protocol(QracTask(d=2, table=table, variant=FOUR_BIT_VARIANTS[variant]))
     assert_matches_oracle(report, pairs_samples(table) if variant == "pairs" else single_samples(table))
+
+
+def boolean(f, table=None):
+    """The Boolean variant for truth table f, on the built-in table by default."""
+    table = builtin_table(2) if table is None else table
+    return run_protocol(QracTask(d=2, table=table, variant="boolean_f", boolean_function=tuple(f)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,29 +479,29 @@ def test_four_bit_variants_match_ket_oracle(index, variant):
 @example(index=3, f=[0] * 8)
 def test_boolean_variant_matches_ket_oracle(index, f):
     table = VALID_D2_TABLES[index]
-    assert_matches_oracle(f_qracse(f, table=table), boolean_samples(table, f))
+    assert_matches_oracle(boolean(f, table=table), boolean_samples(table, f))
 
 
 class TestBooleanFunction:
     def test_majority(self):
-        report = f_qracse((0, 0, 0, 1, 0, 1, 1, 1))
+        report = boolean((0, 0, 0, 1, 0, 1, 1, 1))
         assert report.p_min == pytest.approx(GRAY_D2_VALUE, abs=1e-9)
         assert report.p_avg == pytest.approx(GRAY_D2_VALUE, abs=1e-9)
 
     def test_parity(self):
-        report = f_qracse((0, 1, 1, 0, 1, 0, 0, 1))
+        report = boolean((0, 1, 1, 0, 1, 0, 0, 1))
         assert report.p_min == pytest.approx(GRAY_D2_VALUE, abs=1e-9)
 
     def test_constant_zero(self):
-        report = f_qracse((0,) * 8)
+        report = boolean((0,) * 8)
         assert all(v == "0" for (_, v) in report.per_string)
         assert report.p_min >= GRAY_D2_VALUE - 1e-9
 
     def test_malformed_truth_table(self):
         with pytest.raises(ValueError):
-            f_qracse((0, 1))
+            boolean((0, 1))
         with pytest.raises(ValueError):
-            f_qracse((0, 1, 2, 0, 1, 0, 1, 0))
+            boolean((0, 1, 2, 0, 1, 0, 1, 0))
 
 
 class TestReportSerialisation:

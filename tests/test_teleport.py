@@ -7,7 +7,6 @@ import pytest
 
 from qracsim import teleport
 from qracsim.teleport import (
-    Povm,
     StrategyResult,
     _bell_frame,
     _weyl,
@@ -27,15 +26,15 @@ class TestConstrainedPovm:
     def test_completeness_and_positivity(self, d):
         for k in {1, 2, d * d - 1, d * d}:
             povm = constrained_povm(d, k)
-            total = sum(povm.elements)
+            total = sum(povm)
             assert np.max(np.abs(total - np.eye(d * d))) < 1e-10
-            for element in povm.elements:
+            for element in povm:
                 assert np.linalg.eigvalsh(0.5 * (element + element.conj().T))[0] > -1e-10
 
     def test_full_measurement_is_rank_one(self):
         d = 3
         povm = constrained_povm(d, d * d)
-        for element in povm.elements:
+        for element in povm:
             eigs = np.linalg.eigvalsh(element)
             assert np.sum(eigs > 1e-9) == 1
             assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
@@ -43,11 +42,11 @@ class TestConstrainedPovm:
     def test_single_element_is_identity(self):
         povm = constrained_povm(2, 1)
         assert len(povm) == 1
-        assert np.allclose(povm.elements[0], np.eye(4), atol=1e-12)
+        assert np.allclose(povm[0], np.eye(4), atol=1e-12)
 
     def test_d2_k3_sums_to_identity(self):
         povm = constrained_povm(2, 3)
-        assert np.max(np.abs(sum(povm.elements) - np.eye(4))) < 1e-12
+        assert np.max(np.abs(sum(povm) - np.eye(4))) < 1e-12
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -62,29 +61,12 @@ class TestConstrainedPovm:
         with pytest.raises(ValueError, match="supported dimensions are 2 <= d <= 8"):
             constrained_teleport_fidelity(d, 1)
 
-    def test_povm_type_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            Povm(d=2, elements=(np.eye(4) / 2,))
-
-    def test_povm_type_rejects_negative(self):
-        bad = np.diag([1.5, -0.5, 0.5, 0.5]).astype(complex)
-        rest = np.eye(4) - bad
-        with pytest.raises(ValueError):
-            Povm(d=2, elements=(bad, rest))
-
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_povm_type_finds_the_negative_element_anywhere(self, position):
-        elements = [np.diag([1.0, 0.0, 0.5, 0.5]), np.diag([0.5, 0.5, 0.0, 0.0])]
-        elements.insert(position, np.eye(4) - sum(elements))  # eigenvalue -0.5
-        with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
-            Povm(d=2, elements=tuple(elements))
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_cached_frame_and_elements_are_read_only(self, d):
         before = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
         arrays = [a for a in _bell_frame(d) if isinstance(a, np.ndarray)]
         for k in range(1, d * d + 1):
-            arrays.extend(constrained_povm(d, k).elements)
+            arrays.extend(constrained_povm(d, k))
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
