@@ -27,6 +27,7 @@ import numpy as np
 from . import bounds, codes, qcore, qracse, teleport
 
 OUTPUT_DIR_ENV = "QRACSIM_OUTPUT_DIR"
+DEFAULT_TRUTH_TABLE = "00010111"  # majority of three, for --variant f
 
 HARD = "hard"
 ANNOTATED = "paper-discrepancy"
@@ -138,12 +139,16 @@ def cmd_qracse(args) -> Output:
         "single": "four_dits_single",
         "f": "boolean_f",
     }[args.variant]
-    table = _resolve_table(args)
+    qracse.check_variant(args.d, variant)  # before a --table search spends its budget
     boolean_function = None
     if variant == "boolean_f":
-        if len(args.truth_table) != 8 or set(args.truth_table) - {"0", "1"}:
-            raise ValueError(f"--truth-table must be 8 binary digits such as 00010111, got {args.truth_table!r}")
-        boolean_function = tuple(map(int, args.truth_table))
+        truth = DEFAULT_TRUTH_TABLE if args.truth_table is None else args.truth_table
+        if len(truth) != 8 or set(truth) - {"0", "1"}:
+            raise ValueError(f"--truth-table must be 8 binary digits such as 00010111, got {truth!r}")
+        boolean_function = tuple(map(int, truth))
+    elif args.truth_table is not None:
+        raise ValueError("--truth-table applies to --variant f only")
+    table = _resolve_table(args)
     report = qracse.run_protocol(
         qracse.QracTask(d=args.d, table=table, variant=variant, boolean_function=boolean_function)
     )
@@ -426,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qr.add_argument("--objective", choices=("p_min", "p_avg"), default="p_min")
     p_qr.add_argument("--budget", type=int, default=200, help="search evaluations when --table search")
     p_qr.add_argument("--seed", type=int, default=0)
-    p_qr.add_argument("--truth-table", default="00010111", help="8 bits of f(x) for --variant f")
+    p_qr.add_argument("--truth-table", help=f"8 bits of f(x) for --variant f (default {DEFAULT_TRUTH_TABLE}, majority)")
     add_common(p_qr, cmd_qracse)
 
     p_b = sub.add_parser("bounds", help="monogamy upper bounds")

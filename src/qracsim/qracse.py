@@ -41,7 +41,8 @@ class QracTask:
 
     The Boolean variant needs ``boolean_function``, the truth table of
     f: {0,1}^3 -> {0,1}: entry i is f on the bits of i (most significant
-    first), so majority-of-3 is (0, 0, 0, 1, 0, 1, 1, 1).
+    first), so majority-of-3 is (0, 0, 0, 1, 0, 1, 1, 1).  Every other
+    variant rejects one.
     """
 
     d: int
@@ -50,16 +51,23 @@ class QracTask:
     boolean_function: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        check_variant(self.d, self.variant)
         if self.table.d != self.d:
             raise ValueError(f"table dimension {self.table.d} does not match d={self.d}")
-        if self.variant != "two_strings" and self.d != 2:
-            raise ValueError(f"variant {self.variant!r} is defined for d=2 only")
+        f = self.boolean_function
         if self.variant == "boolean_f":
-            f = self.boolean_function
             if f is None or len(f) != 8 or any(v not in (0, 1) for v in f):
                 raise ValueError("boolean_f needs a truth table of 8 binary values")
+        elif f is not None:
+            raise ValueError(f"a truth table applies to variant 'boolean_f' only, not {self.variant!r}")
+
+
+def check_variant(d: int, variant: str) -> None:
+    """Reject an unknown variant, and a variant defined for d=2 only at another d."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant != "two_strings" and d != 2:
+        raise ValueError(f"variant {variant!r} is defined for d=2 only")
 
 
 @dataclass(frozen=True)
@@ -169,12 +177,20 @@ def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.sort(invs.reshape(m, d * d), axis=1) == np.arange(d * d)).all():  # every index e once
         raise ValueError("encoding table must be a bijection onto the digit pairs")
     v = np.arange(d)[:, None]
-    # terms[:, c, v, j]: the j-th of the d kernel values averaged into r_c[v]
-    terms = np.stack([_kernel(d, 0)[invs, v], _kernel(d, 1)[invs.transpose(0, 2, 1), v]], axis=1)
-    r = np.add.accumulate(terms, axis=-1)[..., -1] / d
+    # one flat gather per choice; terms[:, v, j] is the j-th of the d kernel values averaged into r_c[v]
+    terms = [_kernel(d, c).ravel().take(inv * d + v) for c, inv in enumerate((invs, invs.transpose(0, 2, 1)))]
+    r = np.stack([_sum_in_order(t) for t in terms], axis=1) / d
     per_string = r[..., :, None] * r[..., None, :]
-    per_choice = (np.add.accumulate(r, axis=-1)[..., -1] / d) ** 2
+    per_choice = (_sum_in_order(r) / d) ** 2
     return per_string, per_choice
+
+
+def _sum_in_order(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding its entries one after another from the first."""
+    total = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j]
+    return total
 
 
 def _report(task: QracTask, per_choice: dict, per_string: dict, **details) -> ProtocolReport:
@@ -296,10 +312,7 @@ def trivial_strategy(d: int, variant: str = "two_strings") -> ProtocolReport:
     other requested digit is a uniform guess worth 1/d.  Exact rational
     values; the fractions are kept in ``details['exact']``.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant != "two_strings" and d != 2:
-        raise ValueError(f"variant {variant!r} is defined for d=2 only")
+    check_variant(d, variant)
     requests = _requested_positions(variant)
     per_choice = {key: Fraction(1, d ** sum(pos > 1 for pos in bits)) for key, bits in requests.items()}
     per_string = {

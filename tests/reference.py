@@ -1,13 +1,14 @@
 """Reference builders the tests use as independent oracles.
 
 Generalised Pauli (Weyl) operators with fractional exponents, the Bell
-basis, the ket-level encoding and measurement of the coding protocol, and
-the published encoding tables as transcribed.  The package never builds
-any of these: it reads the protocol off two closed-form kernels, builds
-integer Weyl operators exactly and generates its tables.  These builders
-take the other route, through the Fourier matrix and one ket at a time, so
-a test that compares the two checks the package against code it does not
-share.
+basis, the ket-level encoding and measurement of the coding protocol, the
+published encoding tables as transcribed, and the two-string scorer in its
+``np.add.accumulate`` form, which the package's scorer must match bit for
+bit.  The package never builds any of these: it reads the protocol off two
+closed-form kernels, builds integer Weyl operators exactly and generates
+its tables.  These builders take the other route, through the Fourier
+matrix and one ket at a time, so a test that compares the two checks the
+package against code it does not share.
 
 The shift and clock matrices act on the computational basis as
 X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>.  Fractional powers are
@@ -26,7 +27,7 @@ import numpy as np
 
 from qracsim.codes import EncodingTable, Pair, validate
 from qracsim.qcore import Ket, ensure_square
-from qracsim.qracse import measurement_exponent
+from qracsim.qracse import _kernel, measurement_exponent
 
 ExponentLike = int | float | Fraction
 
@@ -165,3 +166,17 @@ def trivial_two_strings_simulation(d: int) -> dict[str, float]:
             probs = [abs(overlap(b, ket)) ** 2 for b in basis]
             worst = min(worst, probs[a0 * d + a1])
     return {"0": worst, "1": 1.0 / d**2}
+
+
+def two_string_values_accumulate(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-string scorer as it read before its flat gathers: fancy-indexed
+    terms summed by ``np.add.accumulate``, whose last entry adds the terms one
+    after another.  Same contract as ``qracse._two_string_values`` on a stack
+    of bijective inverse arrays (M, d, d), and the same bits."""
+    d = invs.shape[1]
+    v = np.arange(d)[:, None]
+    terms = np.stack([_kernel(d, 0)[invs, v], _kernel(d, 1)[invs.transpose(0, 2, 1), v]], axis=1)
+    r = np.add.accumulate(terms, axis=-1)[..., -1] / d
+    per_string = r[..., :, None] * r[..., None, :]
+    per_choice = (np.add.accumulate(r, axis=-1)[..., -1] / d) ** 2
+    return per_string, per_choice

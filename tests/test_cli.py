@@ -14,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qracsim
-from qracsim import qracse, teleport
+from qracsim import codes, qracse, teleport
 from qracsim.cli import main
 
 
@@ -295,6 +295,20 @@ class TestNumericalFailures:
     def test_d2_only_variants_share_one_message(self, capsys, variant, name):
         assert main(["qracse", "--d", "3", "--variant", variant]) == 2
         assert capsys.readouterr().err == f"error: variant {name!r} is defined for d=2 only\n"
+
+    def test_d2_only_variant_is_rejected_before_the_search(self, capsys, monkeypatch):
+        def search_tables(*args, **kwargs):
+            pytest.fail("the table search ran before the variant check")
+
+        monkeypatch.setattr(codes, "search_tables", search_tables)
+        argv = ["qracse", "--d", "5", "--variant", "pairs", "--table", "search", "--budget", "100000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: variant 'four_dits_pairs' is defined for d=2 only\n"
+
+    @pytest.mark.parametrize("variant", ["two-strings", "pairs", "single"])
+    def test_truth_table_without_the_boolean_variant_is_one_error_line(self, capsys, variant):
+        assert main(["qracse", "--d", "2", "--variant", variant, "--truth-table", "00010111"]) == 2
+        assert capsys.readouterr().err == "error: --truth-table applies to --variant f only\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qracsim.codes
 import qracsim.qracse
 from qracsim.codes import (
     EncodingTable,
@@ -302,6 +303,18 @@ def test_search_trajectory_matches_golden(case, monkeypatch):
         case["score"],
         case["evaluations"],
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d, objective, budget", [(4, "p_min", 2000), (5, "p_avg", 500)])
+def test_search_result_does_not_depend_on_round_size(d, objective, budget, seed, monkeypatch):
+    monkeypatch.setattr(qracsim.qracse, "_two_string_values", hash_scorer(HASH_MODULI["fine"]))
+    results = {}
+    for size in (1, 16, 32):
+        monkeypatch.setattr(qracsim.codes, "_ROUND_CLIMBS", size)
+        result = search_tables(d, objective, budget, seed)
+        results[size] = (result.table, result.score, result.evaluations)
+    assert results[16] == results[1] and results[32] == results[1]
 
 
 @settings(max_examples=30, deadline=None)

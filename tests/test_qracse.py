@@ -11,6 +11,7 @@ from qracsim.cli import main
 from qracsim.codes import (
     EncodingTable,
     _all_cycles,
+    _climb_moves,
     _random_cycle,
     builtin_table,
     generate_single_distance,
@@ -37,6 +38,7 @@ from reference import (
     overlap,
     states_equal,
     trivial_two_strings_simulation,
+    two_string_values_accumulate,
 )
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
@@ -243,6 +245,55 @@ def test_batched_rows_equal_single_calls_bitwise(d, seeds):
         one_string, one_choice = _two_string_values(inv[None])
         assert per_string[row].tobytes() == one_string[0].tobytes()
         assert per_choice[row].tobytes() == one_choice[0].tobytes()
+
+
+def inverse_stack(d, cycles):
+    """Inverse arrays (M, d, d) of tables given as rows of cells a*d + b."""
+    cycles = np.asarray(cycles, dtype=np.intp)
+    invs = np.full(cycles.shape, -1, dtype=np.intp)
+    invs[np.arange(len(cycles))[:, None], cycles] = np.arange(d * d)
+    return invs.reshape(-1, d, d)
+
+
+def legal_moves(d, cells):
+    """The tables one climb step scores from the table ``cells``: its
+    rotations and the segment reversals that keep it a valid table."""
+    moves, joins, one_step = _climb_moves(d)
+    joined = cells[joins]
+    return cells[moves[one_step[joined[..., 0], joined[..., 1]].all(axis=1)]]
+
+
+def generated_cells(d):
+    return np.array([a * d + b for a, b in generate_single_distance(d).pairs])
+
+
+def walked_tables(d, count):
+    """``count`` valid tables met by a seeded random walk from the generated
+    table, each step a random legal climb move.  Far cheaper than drawing
+    ``_random_cycle`` at d = 5, which takes tens of milliseconds a table."""
+    rng = np.random.default_rng(d)
+    cells, tables = generated_cells(d), []
+    for _ in range(count):
+        options = legal_moves(d, cells)
+        cells = options[rng.integers(len(options))]
+        tables.append(cells)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "d, cycles",
+    [
+        pytest.param(2, lambda: _all_cycles(2), id="d2-all"),
+        pytest.param(3, lambda: _all_cycles(3), id="d3-all"),
+        pytest.param(4, lambda: walked_tables(4, 500), id="d4-walk"),
+        pytest.param(5, lambda: walked_tables(5, 500), id="d5-walk"),
+        pytest.param(4, lambda: legal_moves(4, generated_cells(4)), id="d4-climb-step"),
+    ],
+)
+def test_scorer_matches_accumulate_oracle_bitwise(d, cycles):
+    invs = inverse_stack(d, cycles())
+    for value, expected in zip(_two_string_values(invs), two_string_values_accumulate(invs)):
+        assert value.tobytes() == expected.tobytes()
 
 
 def test_scorer_rejects_non_bijective_stack():
@@ -502,6 +553,11 @@ class TestBooleanFunction:
             boolean((0, 1))
         with pytest.raises(ValueError):
             boolean((0, 1, 2, 0, 1, 0, 1, 0))
+
+    @pytest.mark.parametrize("variant", ["two_strings", "four_dits_pairs", "four_dits_single"])
+    def test_other_variants_reject_a_truth_table(self, variant):
+        with pytest.raises(ValueError, match="applies to variant 'boolean_f' only"):
+            QracTask(d=2, table=builtin_table(2), variant=variant, boolean_function=(0, 0, 0, 1, 0, 1, 1, 1))
 
 
 class TestReportSerialisation:
