@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, DensityMatrix, F_from_f
+from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, F_from_f
 
 PROB_SUM_TOL = 1e-12
 KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
@@ -160,11 +160,11 @@ def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     )
 
 
-def fully_entangled_fraction(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
+def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
     """Maximal overlap of a two-qubit state with a maximally entangled state:
     the largest eigenvalue of the real part of rho in the magic basis.  A
     (..., 4, 4) stack of density matrices gives one value per matrix."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = np.asarray(rho)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[-1]}")
     magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS

@@ -28,6 +28,7 @@ from . import bounds, codes, qcore, qracse, teleport
 
 OUTPUT_DIR_ENV = "QRACSIM_OUTPUT_DIR"
 DEFAULT_TRUTH_TABLE = "00010111"  # majority of three, for --variant f
+_SEARCH_OPTIONS = ("objective", "budget", "seed")  # of --table search; codes.search_tables holds their defaults
 
 HARD = "hard"
 ANNOTATED = "paper-discrepancy"
@@ -123,13 +124,12 @@ def cmd_teleport(args) -> Output:
 # ---------------------------------------------------------------- qracse
 
 
-def _resolve_table(args) -> codes.EncodingTable:
+def _resolve_table(args, search: dict) -> codes.EncodingTable:
     if args.table == "builtin":
         return codes.builtin_table(args.d)
     if args.table == "generated":
         return codes.generate_single_distance(args.d)
-    result = codes.search_tables(args.d, objective=args.objective, budget=args.budget, seed=args.seed)
-    return result.table
+    return codes.search_tables(args.d, **search).table
 
 
 def cmd_qracse(args) -> Output:
@@ -148,7 +148,10 @@ def cmd_qracse(args) -> Output:
         boolean_function = tuple(map(int, truth))
     elif args.truth_table is not None:
         raise ValueError("--truth-table applies to --variant f only")
-    table = _resolve_table(args)
+    search = {name: getattr(args, name) for name in _SEARCH_OPTIONS if getattr(args, name) is not None}
+    if search and args.table != "search":
+        raise ValueError(f"--{next(iter(search))} applies to --table search only")
+    table = _resolve_table(args, search)
     report = qracse.run_protocol(
         qracse.QracTask(d=args.d, table=table, variant=variant, boolean_function=boolean_function)
     )
@@ -428,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_qr.add_argument("--d", type=int, required=True)
     p_qr.add_argument("--variant", choices=("two-strings", "pairs", "single", "f"), default="two-strings")
     p_qr.add_argument("--table", choices=("builtin", "generated", "search"), default="builtin")
-    p_qr.add_argument("--objective", choices=("p_min", "p_avg"), default="p_min")
-    p_qr.add_argument("--budget", type=int, default=200, help="search evaluations when --table search")
-    p_qr.add_argument("--seed", type=int, default=0)
+    p_qr.add_argument("--objective", choices=("p_min", "p_avg"), help="objective of --table search (default p_min)")
+    p_qr.add_argument("--budget", type=int, help="evaluations of --table search (default 200)")
+    p_qr.add_argument("--seed", type=int, help="seed of --table search (default 0)")
     p_qr.add_argument("--truth-table", help=f"8 bits of f(x) for --variant f (default {DEFAULT_TRUTH_TABLE}, majority)")
     add_common(p_qr, cmd_qracse)
 
@@ -477,7 +480,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_negative_numbers_as_values(argv))
     try:
         # numpy's generators reject a negative seed only once the work has begun
-        if getattr(args, "seed", 0) < 0:
+        if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:  # bad input, or an --output that cannot be written

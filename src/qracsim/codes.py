@@ -9,7 +9,6 @@ torus of Weyl exponents the indices are mapped onto.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,9 +48,6 @@ class EncodingTable:
             if not (0 <= a < self.d and 0 <= b < self.d):
                 raise ValueError(f"digit pair ({a}, {b}) out of range for d={self.d}")
         object.__setattr__(self, "pairs", pairs)
-
-    def to_json(self) -> str:
-        return json.dumps([[a, b] for a, b in self.pairs])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra and quantum primitives.
+"""Quantum primitives on state vectors.
 
-States, local operators applied to state vectors, fidelities and the
-conversion between entanglement fidelity F and transmission fidelity f.
-Everything here is a pure function on immutable values, so concurrent use
-is safe.
+Kets, the maximally entangled state, local operators applied to a state
+vector and their matrix elements (:func:`apply`, :func:`expectation`, the
+one simulation primitive of the package), and the conversion between
+entanglement fidelity F and transmission fidelity f.  Everything here is a
+pure function on immutable values, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 
@@ -50,23 +50,6 @@ class Ket:
         if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise ValueError(f"ket must be normalised, |norm - 1| = {abs(np.linalg.norm(v) - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", v)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = ensure_square(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix must have unit trace, got {np.trace(m).real!r}")
-        if np.linalg.eigvalsh(m)[0] < PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3e}")
-        object.__setattr__(self, "matrix", m)
 
 
 def bell_state(d: int) -> Ket:
@@ -128,20 +111,6 @@ def expectation(
     defaults to ``state``, which gives the expectation value."""
     target = state if ket is None else ket
     return complex(np.vdot(state, apply(op, sites, target, dims)))
-
-
-def entanglement_fidelity(rho: DensityMatrix | np.ndarray) -> float:
-    """Overlap <psi+|rho|psi+> of a bipartite d x d state with |psi+>, in
-    [0, 1]; float noise within 1e-12 of the range is clamped."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else ensure_square(rho)
-    d = int(round(np.sqrt(m.shape[0])))
-    if d * d != m.shape[0] or d < 2:
-        raise ValueError(f"dimension {m.shape[0]} is not a square d*d with d >= 2")
-    psi = bell_state(d).amplitudes
-    value = float(np.real(np.vdot(psi, m @ psi)))
-    if not -NORM_TOL <= value <= 1.0 + NORM_TOL:
-        raise ValueError(f"fidelity must lie in [0, 1], got {value!r}")
-    return min(max(value, 0.0), 1.0)
 
 
 def f_from_F(F: RationalLike, d: int) -> Fraction:

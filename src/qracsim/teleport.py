@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .qcore import DensityMatrix, apply, bell_state, entanglement_fidelity, expectation, f_from_F, fraction_json
+from .qcore import apply, bell_state, expectation, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
@@ -82,7 +82,7 @@ def _weyl(d: int, a: int, b: int) -> np.ndarray:
 
 def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger, with psi the amplitudes of |psi+>."""
-    ket = np.kron(np.eye(d), w) @ psi
+    ket = apply(w, (1,), psi, (d, d))
     return np.outer(ket, ket.conj())
 
 
@@ -207,8 +207,7 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     f1 = constrained_teleport_fidelity(d, d * d).entanglement_fidelity_F
-    mixed = DensityMatrix(np.eye(d * d) / (d * d))
-    f2 = entanglement_fidelity(mixed)
+    f2 = expectation(np.eye(d * d) / (d * d), (0, 1), bell_state(d).amplitudes, (d, d)).real
     simulated = 0.5 * (f1 + f2)
     exact = Fraction(1, 2) * (1 + Fraction(1, d * d))
     return StrategyResult(
@@ -255,7 +254,7 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
     return StrategyResult(
         strategy_name="nsqrac_via_qracse",
         entanglement_fidelity_F=F,
-        transmission_fidelity_f=(d * F + 1) / (d + 1),
+        transmission_fidelity_f=float(f_from_F(F, d)),
         success_probability=F,
         exact=None,
         details=details,

@@ -18,7 +18,7 @@ from qracsim.bounds import (
     werner_fidelity,
 )
 from qracsim import bounds
-from qracsim.qcore import DensityMatrix, bell_state, expectation
+from qracsim.qcore import bell_state, expectation
 from reference import weyl
 
 
@@ -185,7 +185,7 @@ class TestAsymOptimize:
 
 
 def pure(ket):
-    return DensityMatrix(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+    return np.outer(ket.amplitudes, ket.amplitudes.conj())
 
 
 def bell_diagonal(weights):
@@ -195,7 +195,7 @@ def bell_diagonal(weights):
     for w, (a, b) in zip(weights, labels):
         v = np.kron(weyl(2, a, b), np.eye(2)) @ psi
         rho += w * np.outer(v, v.conj())
-    return DensityMatrix(rho)
+    return rho
 
 
 class TestFullyEntangledFraction:
@@ -204,7 +204,7 @@ class TestFullyEntangledFraction:
         assert fully_entangled_fraction(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed(self):
-        assert fully_entangled_fraction(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25, abs=1e-10)
+        assert fully_entangled_fraction(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-10)
 
     def test_bell_diagonal_weights(self):
         rho = bell_diagonal([0.7, 0.1, 0.1, 0.1])
@@ -235,8 +235,8 @@ class TestFullyEntangledFraction:
         for _ in range(5):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = g @ g.conj().T
-            rho = DensityMatrix(m / np.trace(m).real)
-            assert fully_entangled_fraction(rho) == pytest.approx(ascent(rho.matrix), abs=1e-9)
+            rho = m / np.trace(m).real
+            assert fully_entangled_fraction(rho) == pytest.approx(ascent(rho), abs=1e-9)
 
     def test_stack_matches_single_calls(self):
         rng = np.random.default_rng(29)
@@ -245,10 +245,10 @@ class TestFullyEntangledFraction:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = g @ g.conj().T
             mats.append(m / np.trace(m).real)
-        mats.append(bell_diagonal([0.7, 0.1, 0.1, 0.1]).matrix)
+        mats.append(bell_diagonal([0.7, 0.1, 0.1, 0.1]))
         values = fully_entangled_fraction(np.array(mats).reshape(2, 3, 4, 4))
         assert values.shape == (2, 3)
-        singles = [fully_entangled_fraction(DensityMatrix(m)) for m in mats]
+        singles = [fully_entangled_fraction(m) for m in mats]
         assert np.allclose(values.reshape(-1), singles, rtol=0, atol=1e-12)
 
     def test_stack_of_wrong_size_rejected(self):
@@ -281,7 +281,7 @@ class TestMonogamyScan:
             fidelities = []
             for sites in ((0, 2), (1, 2)):
                 rho = [[expectation(np.outer(units[j], units[i]), sites, psi, [2, 2, 2]) for j in range(4)] for i in range(4)]
-                fidelities.append(fully_entangled_fraction(DensityMatrix(rho)))
+                fidelities.append(fully_entangled_fraction(np.array(rho)))
             expected.append(kay_constraint_residual(fidelities, 2))
         monkeypatch.setattr(bounds, "KAY_SCAN_HEAD", n_states)
         scan = kay_feasibility_scan(n_states=n_states, seed=seed)

@@ -249,9 +249,23 @@ class TestNumericalFailures:
         assert main(["qracse", "--d", "2", "--table", "search", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
-    def test_bad_input_keeps_exit_code_two(self, capsys):
-        assert main(["teleport", "--d", "2", "--k", "9"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["teleport", "--d", "2", "--k", "9"], "k must lie in 1..d^2"),
+            (["qracse", "--d", "7", "--table", "search"], "supported dimensions are 2 <= d <= 5"),
+            (["qracse", "--d", "3", "--table", "search", "--budget", "0"], "budget must be a positive number"),
+            (["qracse", "--d", "2", "--table", "builtin", "--budget", "-5"], "--budget applies to --table search only"),
+            (["qracse", "--d", "2", "--table", "generated", "--objective", "p_avg"], "--objective applies to --table search only"),
+            (["qracse", "--d", "2", "--seed", "3"], "--seed applies to --table search only"),
+        ],
+        ids=["teleport-k", "search-d", "search-budget", "stray-budget", "stray-objective", "stray-seed"],
+    )
+    def test_bad_input_keeps_exit_code_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_teleport_dimension_cap_is_one_error_line(self, capsys):
         # d = 9 is the smallest rejected dimension; it would still fit in memory
@@ -353,6 +367,7 @@ def call_main(argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+    return code
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,13 +386,19 @@ def test_fuzz_teleport(d, k, fmt):
     seed=st.integers(-3, 3),
     truth=st.text(alphabet="012x", max_size=10),
     fmt=FORMATS,
+    stray=st.just(False),
 )
-@example(d=2, variant="f", table="builtin", objective="p_min", budget=1, seed=0, truth="0a010101", fmt="table")
-@example(d=2, variant="two-strings", table="search", objective="p_min", budget=5, seed=-1, truth="", fmt="table")
-def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt):
-    argv = ["qracse", "--d", str(d), "--variant", variant, "--table", table, "--objective", objective]
-    argv += ["--budget", str(budget), "--seed", str(seed), "--format", fmt]
-    call_main(argv + (["--truth-table", truth] if truth else []))
+@example(d=2, variant="f", table="builtin", objective="p_min", budget=1, seed=0, truth="0a010101", fmt="table", stray=False)
+@example(d=2, variant="two-strings", table="search", objective="p_min", budget=5, seed=-1, truth="", fmt="table", stray=False)
+@example(d=2, variant="two-strings", table="builtin", objective="p_min", budget=-5, seed=0, truth="", fmt="table", stray=True)
+def test_fuzz_qracse(d, variant, table, objective, budget, seed, truth, fmt, stray):
+    # the search options go with --table search only; a stray one with another table is bad input
+    argv = ["qracse", "--d", str(d), "--variant", variant, "--table", table, "--format", fmt]
+    if table == "search" or stray:
+        argv += ["--objective", objective, "--budget", str(budget), "--seed", str(seed)]
+    code = call_main(argv + (["--truth-table", truth] if truth else []))
+    if stray:
+        assert code == 2, argv
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,13 @@
-"""Layout guard: the package carries no code that only the tests use.
+"""Layout guard: the package carries no code that only the tests use, and
+simulates on the state vector only.
 
 Every public top-level name of ``src/qracsim`` must be referenced, as a name
-or an attribute, somewhere in ``src/``, ``scripts/`` or ``perfbench/``
-outside its own definition.  So must every public method and property of a
-public class, as an attribute: a bare name of the same spelling, such as a
-local variable, is not a use of the method.  Builders that serve only as
-test oracles belong in ``tests/reference.py``.
+or an attribute, somewhere in ``src/`` or ``perfbench/`` outside its own
+definition.  So must every public method and property of a public class, as
+an attribute: a bare name of the same spelling, such as a local variable, is
+not a use of the method.  Builders that serve only as test oracles belong in
+``tests/reference.py``.  No operator in ``src/`` is embedded densely as
+``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.
 """
 
 import ast
@@ -13,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qracsim"
-PROGRAM_DIRS = ("src", "scripts", "perfbench")
+PROGRAM_DIRS = ("src", "perfbench")
 
 
 def _program_trees() -> dict[Path, ast.Module]:
@@ -83,3 +85,17 @@ def test_every_public_method_has_a_program_caller():
     ]
     unreferenced = _unreferenced(trees, definitions, (ast.Attribute,))
     assert unreferenced == [], f"public methods with no caller in {', '.join(PROGRAM_DIRS)}: {unreferenced}"
+
+
+def _is_call(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+
+
+def test_no_dense_identity_embedding():
+    embeddings = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_call(node, "kron") and any(_is_call(arg, "eye") for arg in node.args)
+    ]
+    assert embeddings == [], f"kron with an identity factor, use qcore.apply: {embeddings}"
