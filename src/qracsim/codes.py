@@ -215,11 +215,11 @@ def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return moves, joins, one_step
 
 
-# Restarts climbing at once in one round of the search; each round step scores
-# the move lists of all of them in one batch, so this caps the batch's rows and
+# Restarts climbing at once in one round of the search; their new orbits, and
+# then their legal reversals, share one batch, so this caps a batch's rows and
 # with them the search's peak memory.  Peak RSS of a process that imports the
 # package and runs search_tables(4, "p_min", 10000, 1), median of 8 runs (numpy
-# 2.4.6, x86-64): 38.25 MiB at 16, 38.51 MiB at 32, 39.43 MiB at 64.
+# 2.4.6, x86-64): 37.99 MiB at 16, 38.20 MiB at 32, 38.45 MiB at 64.
 _ROUND_CLIMBS = 32
 
 
@@ -237,16 +237,16 @@ def search_tables(
     ``budget`` caps the number of distinct tables evaluated.  The generated
     table, which is the built-in one where that exists, is always evaluated
     first, so the result never scores below it.  Each climb step takes the
-    first move that improves the score; the scores past that move are not
-    counted and do not change the result.
+    first move that improves the score, rotations before reversals; the
+    tables past that move are not counted and do not change the result.
 
-    Restarts climb in rounds of up to 32, with one scorer batch for one
-    step of every climb in the round, and the tables each climb walks
-    through are counted against the budget in start order.  The result is
-    the same as climbing the restarts one at a time: every table's score is
-    exact and independent of its batch, so a climb's path depends only on
-    its start.  Deterministic for a fixed seed; ties break to the
-    lexicographically smallest pair sequence.
+    Restarts climb in rounds of up to 32, and the tables each climb walks
+    through are counted against the budget in start order.  A climb scores
+    the rotation orbit of each table it reaches once, and the result is the
+    same as climbing the restarts one at a time, scoring each move list
+    afresh: every table's score is exact and independent of its batch.
+    Deterministic for a fixed seed; ties break to the lexicographically
+    smallest pair sequence.
     """
     from .qracse import _two_string_values  # local import; qracse depends on this module
 
@@ -288,37 +288,60 @@ def search_tables(
 
     def climb_round(size: int) -> None:
         """Climb ``size`` fresh restarts in lockstep, counting each climb's
-        tables once every earlier climb is counted, until the budget runs out."""
-        current = np.array([_random_cycle(d, rng) for _ in range(size)], dtype=np.intp)
-        beats = score(current)  # each climb's score to beat
-        walked = [[(key, value)] for key, value in zip(keys(current), beats.tolist())]
+        tables once every earlier climb is counted, until the budget runs out.
+        One batch scores the rotation orbits of the tables the climbs reach (a
+        start or an accepted reversal); rotating the orbit's table at offset p
+        by r gives the one at (p + r) mod n, so the rotation steps need no
+        more scores.  Then one batch scores every moving climb's reversals."""
+        tables = np.array([_random_cycle(d, rng) for _ in range(size)], dtype=np.intp)
+        walked = [[] for _ in range(size)]
         active = np.arange(size)  # climbs still moving, in start order
-        head = 0  # the first climb not yet fully counted
-        while head < size:
-            count(walked[head])
-            if len(evaluated) == budget:
-                return
-            walked[head] = []
-            if not len(active) or active[0] != head:
+        head, starting = 0, True  # the first climb not yet fully counted; the tables are starts
+        while True:
+            if len(active):
+                rows = tables[:, orbits].reshape(-1, n)
+                row_keys, row_values = keys(rows), score(rows).tolist()
+                offsets, beats = [], []
+                for i, climb in enumerate(active.tolist()):
+                    ks, vs = row_keys[i * n : (i + 1) * n] * 2, row_values[i * n : (i + 1) * n] * 2
+                    if starting:
+                        walked[climb].append((ks[0], vs[0]))
+                    p = 0
+                    while True:  # the first rotation that improves, until none does
+                        beat = vs[p] + 1e-12
+                        r = next((r for r in range(p + 1, p + n) if vs[r] > beat), p + n - 1)
+                        walked[climb].extend(zip(ks[p + 1 : r + 1], vs[p + 1 : r + 1]))
+                        if vs[r] <= beat:
+                            break
+                        p = r % n
+                    offsets.append(i * n + p)
+                    beats.append(vs[p])
+                current, starting = rows[offsets], False
+            while head < size:
+                count(walked[head])
+                if len(evaluated) == budget:
+                    return
+                walked[head] = []
+                if len(active) and active[0] == head:
+                    break
                 head += 1
-                continue
-            cycles = current[active]
-            joined = cycles[:, joins]
+            else:
+                return
+            joined = current[:, reversal_joins]
             owner, move = np.nonzero(one_step[joined[..., 0], joined[..., 1]].all(axis=2))
-            rows = cycles[owner[:, None], all_moves[move]]  # each active climb's move list, one after another
+            rows = current[owner[:, None], reversals[move]]  # each climb's legal reversals, one after another
             values = score(rows)
             counts = np.bincount(owner, minlength=len(active))
             ends = np.cumsum(counts)
             starts = ends - counts
-            hits = np.append(np.flatnonzero(values > np.repeat(beats[active], counts) + 1e-12), len(rows))
+            hits = np.append(np.flatnonzero(values > np.repeat(beats, counts) + 1e-12), len(rows))
             accepted = hits[np.searchsorted(hits, starts)]  # first improving row of each list, if below its end
             moved = accepted < ends
             row_keys, row_values = keys(rows), values.tolist()
             for climb, lo, hi in zip(active.tolist(), starts.tolist(), np.minimum(accepted + 1, ends).tolist()):
                 walked[climb].extend(zip(row_keys[lo:hi], row_values[lo:hi]))
             active = active[moved]
-            current[active] = rows[accepted[moved]]
-            beats[active] = values[accepted[moved]]
+            tables = rows[accepted[moved]]
 
     def cells(pairs: tuple[Pair, ...]) -> np.ndarray:
         return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)
@@ -329,6 +352,8 @@ def search_tables(
         walk(_all_cycles(d))
     else:
         all_moves, joins, one_step = _climb_moves(d)
+        reversals, reversal_joins = all_moves[n - 1 :], joins[n - 1 :]
+        orbits = (np.arange(n) + np.arange(n)[:, None]) % n  # row r rotates a table by r
         seeded, climbs = len(evaluated), 0
         while len(evaluated) < budget:
             # one restart first, then as many as the budget left needs at the

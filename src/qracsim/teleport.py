@@ -22,16 +22,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .qcore import apply, bell_state, expectation, f_from_F, fraction_json
+from .qcore import PSD_TOL, apply, bell_state, expectation, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
-POVM_PSD_TOL = -1e-10
 
 
 def _check_psd(stack: np.ndarray) -> None:
     """Raise unless every matrix of the (n, dim, dim) stack is positive semidefinite."""
-    if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < POVM_PSD_TOL):
+    if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < PSD_TOL):
         raise ValueError("POVM element is not positive semidefinite")
 
 

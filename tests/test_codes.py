@@ -208,6 +208,23 @@ def test_search_scores_bounded_batches(monkeypatch):
     assert max(batches) > len(_climb_moves(4)[0])  # climbs do share batches
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_scores_each_table_about_once(seed, monkeypatch):
+    # a climb scores the rotation orbit of each table it reaches once and takes
+    # its rotation steps from those scores, so the rows scored stay within 1.25
+    # times the budget
+    rows = []
+    scorer = qracsim.qracse._two_string_values
+
+    def recording(invs):
+        rows.append(len(invs))
+        return scorer(invs)
+
+    monkeypatch.setattr(qracsim.qracse, "_two_string_values", recording)
+    assert search_tables(4, "p_min", 10000, seed).evaluations == 10000
+    assert sum(rows) <= 12_500
+
+
 def hash_scorer(modulus):
     """Stand-in for ``qracse._two_string_values``: every table scores a weighted
     sum of its inverse array mod ``modulus``, scaled into [0, 1), on each

@@ -100,7 +100,7 @@ class TestConstrainedPovm:
 
     def test_complement_is_checked_per_call(self, monkeypatch):
         constrained_povm(2, 3)
-        monkeypatch.setattr(teleport, "POVM_PSD_TOL", 1.0)  # no element passes
+        monkeypatch.setattr(teleport, "PSD_TOL", 1.0)  # no element passes
         with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
             constrained_povm(2, 3)
 
