@@ -1,8 +1,8 @@
 """Quantum primitives on state vectors.
 
-Kets, the maximally entangled state, local operators applied to a state
-vector and their matrix elements (:func:`apply`, :func:`expectation`, the
-one simulation primitive of the package), and the conversion between
+The maximally entangled state, local operators applied to a state vector
+and their matrix elements (:func:`apply`, :func:`expectation`, the one
+simulation primitive of the package), and the conversion between
 entanglement fidelity F and transmission fidelity f.  Everything here is a
 pure function on immutable values, so concurrent use is safe.
 """
@@ -10,7 +10,6 @@ pure function on immutable values, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -35,30 +34,15 @@ def ensure_square(m: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Ket:
-    """Unit-norm complex state vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("a ket is a nonempty 1-d complex vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("ket amplitudes must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-            raise ValueError(f"ket must be normalised, |norm - 1| = {abs(np.linalg.norm(v) - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", v)
-
-
-def bell_state(d: int) -> Ket:
-    """Maximally entangled state (1/sqrt(d)) sum_i |ii> on a d x d system."""
+def bell_state(d: int) -> np.ndarray:
+    """Amplitudes of the maximally entangled state (1/sqrt(d)) sum_i |ii> on a
+    d x d system, as a read-only complex vector."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
-    return Ket(v)
+    v.setflags(write=False)
+    return v
 
 
 @lru_cache(maxsize=256)

@@ -36,12 +36,12 @@ def _check_psd(stack: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class StrategyResult:
-    """Outcome of one strategy: fidelities, success probability and provenance."""
+    """Outcome of one strategy: fidelities and provenance.  A strategy's
+    success probability is its entanglement fidelity F."""
 
     strategy_name: str
     entanglement_fidelity_F: float
     transmission_fidelity_f: float
-    success_probability: float
     exact: Fraction | None = None
     details: dict = field(default_factory=dict)
 
@@ -57,7 +57,7 @@ class StrategyResult:
             "strategy": self.strategy_name,
             "entanglement_fidelity_F": self.entanglement_fidelity_F,
             "transmission_fidelity_f": self.transmission_fidelity_f,
-            "success_probability": self.success_probability,
+            "success_probability": self.entanglement_fidelity_F,
             "details": self.details,
         }
         if self.exact is not None:
@@ -105,7 +105,7 @@ class _BellFrame(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _bell_frame(d: int) -> _BellFrame:
-    psi = bell_state(d).amplitudes
+    psi = bell_state(d)
     projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
     _check_psd(projectors.transpose(0, 2, 1))
     state = np.kron(psi, psi)
@@ -158,7 +158,6 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
         strategy_name="constrained_teleportation",
         entanglement_fidelity_F=total,
         transmission_fidelity_f=f,
-        success_probability=total,
         exact=exact,
         details={"d": d, "k": k, "exact_float": float(exact)},
     )
@@ -194,7 +193,6 @@ def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
         strategy_name="nsqrac_split",
         entanglement_fidelity_F=simulated,
         transmission_fidelity_f=float(f_from_F(exact, d)),
-        success_probability=simulated,
         exact=exact,
         details={"d": d, "k_prime": k_prime, "fidelity_first": f1, "fidelity_second": f2},
     )
@@ -206,14 +204,13 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     f1 = constrained_teleport_fidelity(d, d * d).entanglement_fidelity_F
-    f2 = expectation(np.eye(d * d) / (d * d), (0, 1), bell_state(d).amplitudes, (d, d)).real
+    f2 = expectation(np.eye(d * d) / (d * d), (0, 1), bell_state(d), (d, d)).real
     simulated = 0.5 * (f1 + f2)
     exact = Fraction(1, 2) * (1 + Fraction(1, d * d))
     return StrategyResult(
         strategy_name="nsqrac_favored",
         entanglement_fidelity_F=simulated,
         transmission_fidelity_f=float(f_from_F(exact, d)),
-        success_probability=simulated,
         exact=exact,
         details={"d": d, "fidelity_first": f1, "fidelity_second": f2, "exact_float": float(exact)},
     )
@@ -231,9 +228,9 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
     correction fidelity is |tr(W_g W_i^dagger)/d|^2, which is 1 when g = i
     and 0 otherwise, so the success equals the decoder's average success.
 
-    The teleportation layer is also simulated as an explicit 8-qubit state
-    vector (dimension 256) with Bell projectors and corrections; both paths
-    must agree to 1e-9, or RuntimeError is raised.
+    The teleportation layer is also simulated with Bell projectors and
+    corrections on the state vector, one 4-site block per teleported qudit;
+    both paths must agree to 1e-9, or RuntimeError is raised.
     """
     if d != 2:
         raise ValueError("the composite strategy is implemented for d=2")
@@ -254,7 +251,6 @@ def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
         strategy_name="nsqrac_via_qracse",
         entanglement_fidelity_F=F,
         transmission_fidelity_f=float(f_from_F(F, d)),
-        success_probability=F,
         exact=None,
         details=details,
     )
@@ -271,31 +267,33 @@ def _max_wrong_correction_overlap(d: int) -> float:
 
 
 def _composite_full_state_fidelity(d: int) -> float:
-    """Explicit teleportation layer: two reference pairs, two shared pairs,
-    Bell projectors on Alice's side, decoder statistics, Weyl corrections,
-    all applied to the 8-site state vector."""
+    """Explicit teleportation layer: Bell projectors on Alice's side, decoder
+    statistics and Weyl corrections on the state vector.  Each teleported
+    qudit has its own 4-site block A' A At B, so the 8-site overlap is a
+    product of block terms: q[i][g] = <s| (B_g)_A'B |B_i^T s> for the
+    requested qudit times the outcome probability <s|B_i^T s> of the other."""
     table = builtin_table(d)
     inv = _inverse_array(table)
     kernels = {c: _kernel(d, c) for c in (0, 1)}
     frame = _bell_frame(d)
 
-    dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
-    state = np.kron(frame.state, frame.state)
+    dims = [d] * 4  # A' A At B
+    s = frame.state
     labels = _weyl_labels(d)
-    pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
+    branches = [apply(p.T, (1, 2), s, dims) for p in frame.projectors]
+    prob = [np.vdot(s, branch).real for branch in branches]
+    q = [[expectation(t, (0, 3), s, dims, ket=branch).real for t in frame.projectors] for branch in branches]
 
     total = {0: 0.0, 1: 0.0}
-    for (a1, b1), p1 in zip(labels, frame.projectors):
-        first = apply(p1.T, (1, 2), state, dims)
-        for (a2, b2), p2 in zip(labels, frame.projectors):
-            branch = apply(p2.T, (5, 6), first, dims)
+    for i1, (a1, b1) in enumerate(labels):
+        for i2, (a2, b2) in enumerate(labels):
             e0 = inv[a1, a2]
             e1 = inv[b1, b2]
             for c in (0, 1):
-                for (ga, gb), target in zip(labels, frame.projectors):
+                for g, (ga, gb) in enumerate(labels):
                     p_dec = float(kernels[c][e0, ga] * kernels[c][e1, gb])
                     if p_dec < 1e-15:
                         continue
-                    overlap = expectation(target, pair_sites[c], state, dims, ket=branch).real
+                    overlap = q[i1][g] * prob[i2] if c == 0 else prob[i1] * q[i2][g]
                     total[c] += p_dec * overlap
-    return 0.5 * (total[0] + total[1])
+    return float(0.5 * (total[0] + total[1]))

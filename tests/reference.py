@@ -2,11 +2,14 @@
 
 Generalised Pauli (Weyl) operators with fractional exponents, the Bell
 basis, the ket-level encoding and measurement of the coding protocol, the
-published encoding tables as transcribed, and the two-string scorer in its
+published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
-bit.  The package never builds any of these: it reads the protocol off two
-closed-form kernels, builds integer Weyl operators exactly and generates
-its tables.  These builders take the other route, through the Fourier
+bit, and the composite strategy's teleportation layer on the whole 8-site
+state vector, built from the package's Bell frame, which the package's
+4-site block form must also match bit for bit.  The package never builds
+any of these: it reads the protocol off two closed-form kernels, builds
+integer Weyl operators exactly, generates its tables and simulates no more
+than four sites.  These builders take the other route, through the Fourier
 matrix and one ket at a time, so a test that compares the two checks the
 package against code it does not share.
 
@@ -25,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from qracsim.codes import EncodingTable, Pair, validate
-from qracsim.qcore import Ket, ensure_square
-from qracsim.qracse import _kernel, measurement_exponent
+from qracsim.codes import EncodingTable, Pair, builtin_table, validate
+from qracsim.qcore import NORM_TOL, apply, ensure_square, expectation
+from qracsim.qracse import _inverse_array, _kernel, measurement_exponent
+from qracsim.teleport import _bell_frame, _weyl_labels
 
 ExponentLike = int | float | Fraction
 
@@ -46,25 +50,28 @@ PUBLISHED_TABLES: dict[int, tuple[Pair, ...]] = {
 }
 
 
-def overlap(a: Ket, b: Ket) -> complex:
-    """Inner product <a|b>."""
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b> of two state vectors."""
+    return complex(np.vdot(a, b))
 
 
-def states_equal(a: Ket, b: Ket, tol: float = PHASE_EQUALITY_TOL) -> bool:
+def states_equal(a: np.ndarray, b: np.ndarray, tol: float = PHASE_EQUALITY_TOL) -> bool:
     """Equality up to global phase: |<a|b>| = 1 within tol."""
-    if a.amplitudes.size != b.amplitudes.size:
+    if a.size != b.size:
         return False
     return abs(abs(overlap(a, b)) - 1.0) <= tol
 
 
-def apply_to_bell_half(op: np.ndarray, d: int) -> Ket:
+def apply_to_bell_half(op: np.ndarray, d: int) -> np.ndarray:
     """(op (x) 1)|psi+> for a d x d operator; op must preserve the norm."""
     op = ensure_square(op)
     if op.shape[0] != d:
         raise ValueError(f"operator dimension {op.shape[0]} does not match d={d}")
     # components of (W (x) 1)|psi+> are W[j, i]/sqrt(d) at index j*d + i
-    return Ket(op.reshape(-1) / np.sqrt(d))
+    ket = op.reshape(-1) / np.sqrt(d)
+    if abs(np.linalg.norm(ket) - 1.0) > NORM_TOL:
+        raise ValueError("operator does not preserve the norm of |psi+>")
+    return ket
 
 
 def shift_x(d: int) -> np.ndarray:
@@ -119,13 +126,13 @@ def weyl(d: int, a: ExponentLike, b: ExponentLike) -> np.ndarray:
     return frac_power_x(d, a) @ frac_power_z(d, b)
 
 
-def bell_basis(d: int) -> list[Ket]:
+def bell_basis(d: int) -> list[np.ndarray]:
     """All d^2 generalised Bell states (X^a Z^b (x) 1)|psi+> in label order
     (a, b) row major; they form an orthonormal basis."""
     return [apply_to_bell_half(weyl(d, a, b), d) for a in range(d) for b in range(d)]
 
 
-def measurement_basis(d: int, c: int) -> list[Ket]:
+def measurement_basis(d: int, c: int) -> list[np.ndarray]:
     """Bob's d^2 projector states for choice c, in (b0, b1) row-major order."""
     kets = []
     for b0 in range(d):
@@ -137,7 +144,7 @@ def measurement_basis(d: int, c: int) -> list[Ket]:
     return kets
 
 
-def encode(d: int, table: EncodingTable, a0: tuple[int, int], a1: tuple[int, int]) -> Ket:
+def encode(d: int, table: EncodingTable, a0: tuple[int, int], a1: tuple[int, int]) -> np.ndarray:
     """Alice's encoded state for strings a0 and a1 (each a pair of digits)."""
     for digit in (*a0, *a1):
         if not 0 <= digit < d:
@@ -180,3 +187,36 @@ def two_string_values_accumulate(invs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     per_string = r[..., :, None] * r[..., None, :]
     per_choice = (np.add.accumulate(r, axis=-1)[..., -1] / d) ** 2
     return per_string, per_choice
+
+
+def composite_full_state_fidelity(d: int) -> float:
+    """The composite strategy's teleportation layer on the whole 8-site state
+    vector: two reference pairs, two shared pairs, Bell projectors on
+    Alice's side, decoder statistics and Weyl corrections.  It holds d^8
+    amplitudes, where ``teleport._composite_full_state_fidelity`` works on
+    one 4-site block, and must give the same bits."""
+    table = builtin_table(d)
+    inv = _inverse_array(table)
+    kernels = {c: _kernel(d, c) for c in (0, 1)}
+    frame = _bell_frame(d)
+
+    dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
+    state = np.kron(frame.state, frame.state)
+    labels = _weyl_labels(d)
+    pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
+
+    total = {0: 0.0, 1: 0.0}
+    for (a1, b1), p1 in zip(labels, frame.projectors):
+        first = apply(p1.T, (1, 2), state, dims)
+        for (a2, b2), p2 in zip(labels, frame.projectors):
+            branch = apply(p2.T, (5, 6), first, dims)
+            e0 = inv[a1, a2]
+            e1 = inv[b1, b2]
+            for c in (0, 1):
+                for (ga, gb), target in zip(labels, frame.projectors):
+                    p_dec = float(kernels[c][e0, ga] * kernels[c][e1, gb])
+                    if p_dec < 1e-15:
+                        continue
+                    overlap = expectation(target, pair_sites[c], state, dims, ket=branch).real
+                    total[c] += p_dec * overlap
+    return 0.5 * (total[0] + total[1])

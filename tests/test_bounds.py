@@ -185,11 +185,11 @@ class TestAsymOptimize:
 
 
 def pure(ket):
-    return np.outer(ket.amplitudes, ket.amplitudes.conj())
+    return np.outer(ket, ket.conj())
 
 
 def bell_diagonal(weights):
-    psi = bell_state(2).amplitudes
+    psi = bell_state(2)
     labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rho = np.zeros((4, 4), dtype=complex)
     for w, (a, b) in zip(weights, labels):

@@ -106,7 +106,7 @@ class TestFractionalPowers:
 class TestBellBasis:
     def test_zero_label_is_plus_state(self):
         elem = bell_basis(2)[0]
-        assert np.allclose(elem.amplitudes, bell_state(2).amplitudes)
+        assert np.allclose(elem, bell_state(2))
 
     def test_d2_pairwise_orthogonal(self):
         basis = bell_basis(2)
@@ -126,7 +126,7 @@ class TestWeyl:
         assert np.allclose(weyl(2, 1, 1), [[0, -1], [1, 0]], atol=1e-12)
 
     def test_quarter_powers_overlap_value(self):
-        psi = bell_state(2).amplitudes
+        psi = bell_state(2)
         w = np.kron(weyl(2, 0.25, 0.25), np.eye(2))
         overlap = abs(np.vdot(psi, w @ psi)) ** 2
         assert overlap == pytest.approx((3 + 2 * np.sqrt(2)) / 8, abs=1e-12)

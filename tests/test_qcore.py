@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracsim.qcore import (
-    Ket,
+    NORM_TOL,
     F_from_f,
     apply,
     bell_state,
@@ -19,7 +19,7 @@ X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def pure(ket):
-    return np.outer(ket.amplitudes, ket.amplitudes.conj())
+    return np.outer(ket, ket.conj())
 
 
 def random_density(d, rng):
@@ -31,26 +31,16 @@ def random_density(d, rng):
 def entanglement_fidelity(rho, d):
     """<psi+|rho|psi+> for a d x d state, by the state-vector route the
     program takes: rho as an operator on both sites of |psi+>."""
-    return expectation(rho, (0, 1), bell_state(d).amplitudes, (d, d)).real
-
-
-class TestTypes:
-    def test_ket_rejects_unnormalised(self):
-        with pytest.raises(ValueError):
-            Ket(np.array([1.0, 1.0]))
-
-    def test_ket_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Ket(np.array([np.nan, 0.0]))
+    return expectation(rho, (0, 1), bell_state(d), (d, d)).real
 
 
 class TestBellState:
     def test_d2_amplitudes(self):
-        v = bell_state(2).amplitudes
+        v = bell_state(2)
         assert np.allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_d3_positions(self):
-        v = bell_state(3).amplitudes
+        v = bell_state(3)
         expected = np.zeros(9)
         expected[[0, 4, 8]] = 1 / np.sqrt(3)
         assert np.allclose(v, expected)
@@ -58,13 +48,21 @@ class TestBellState:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_reduced_state_is_maximally_mixed(self, d):
         # amplitudes as a d x d matrix M: the reduced states are M M^dag and M^T M^*
-        m = bell_state(d).amplitudes.reshape(d, d)
+        m = bell_state(d).reshape(d, d)
         for reduced in (m @ m.conj().T, m.T @ m.conj()):
             assert np.allclose(reduced, np.eye(d) / d, atol=1e-12)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             bell_state(1)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_read_only_unit_vector(self, d):
+        v = bell_state(d)
+        assert v.shape == (d * d,) and v.dtype == complex
+        assert abs(np.linalg.norm(v) - 1.0) <= NORM_TOL
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
 
 def _random_operator(dim, rng):
@@ -193,7 +191,7 @@ class TestEntanglementFidelity:
         assert entanglement_fidelity(rho, d) == pytest.approx(1 / d**2)
 
     def test_shifted_bell_is_orthogonal(self):
-        ket = Ket(np.kron(X2, np.eye(2)) @ bell_state(2).amplitudes)
+        ket = np.kron(X2, np.eye(2)) @ bell_state(2)
         assert entanglement_fidelity(pure(ket), 2) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -243,11 +241,11 @@ class TestFidelityConversion:
 class TestStatesEqual:
     def test_global_phase_ignored(self):
         a = bell_state(3)
-        b = Ket(np.exp(1j * 0.7) * a.amplitudes)
+        b = np.exp(1j * 0.7) * a
         assert states_equal(a, b)
 
     def test_distinct_states(self):
-        a = Ket(np.array([1, 0], dtype=complex))
-        b = Ket(np.array([0, 1], dtype=complex))
+        a = np.array([1, 0], dtype=complex)
+        b = np.array([0, 1], dtype=complex)
         assert not states_equal(a, b)
 

@@ -87,15 +87,15 @@ class TestEncode:
         # first digits (1, 0) and second digits (1, 0) both map to index 3
         ket = encode(2, builtin_table(2), (1, 1), (0, 0))
         w = frac_power_x(2, 1.5) @ frac_power_z(2, 1.5)
-        expected = np.kron(w, np.eye(2)) @ bell_state(2).amplitudes
-        assert np.allclose(ket.amplitudes, expected, atol=1e-12)
+        expected = np.kron(w, np.eye(2)) @ bell_state(2)
+        assert np.allclose(ket, expected, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_inputs_normalised(self, d):
         table = builtin_table(d)
         for a0, a1, b0, b1 in product(range(d), repeat=4):
             ket = encode(d, table, (a0, a1), (b0, b1))
-            assert abs(np.linalg.norm(ket.amplitudes) - 1) < 1e-12
+            assert abs(np.linalg.norm(ket) - 1) < 1e-12
 
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
@@ -117,13 +117,13 @@ class TestMeasurementBasis:
             assert measurement_exponent(3, 1, b) == -Fraction(b) - Fraction(1, 6)
 
     def test_d3_vectors_match_direct_construction(self):
-        psi = bell_state(3).amplitudes
+        psi = bell_state(3)
         vecs = measurement_basis(3, 0)
         for b0 in range(3):
             for b1 in range(3):
                 w = frac_power_x(3, b0 + Fraction(1, 3)) @ frac_power_z(3, b1 + Fraction(1, 3))
                 direct = np.kron(w, np.eye(3)) @ psi
-                assert np.allclose(vecs[b0 * 3 + b1].amplitudes, direct, atol=1e-12)
+                assert np.allclose(vecs[b0 * 3 + b1], direct, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("c", [0, 1])
@@ -354,13 +354,13 @@ def test_kernel_product_matches_ket_overlaps(d, sx, sz):
     # encode takes e0 from the first digits of both strings and e1 from the
     # second digits, so these strings give the state X^(e0/d) Z^(e1/d), row e0 * d^2 + e1
     kets = np.array(
-        [encode(d, table, (p0[0], p1[0]), (p0[1], p1[1])).amplitudes for p0 in table.pairs for p1 in table.pairs]
+        [encode(d, table, (p0[0], p1[0]), (p0[1], p1[1])) for p0 in table.pairs for p1 in table.pairs]
     )
     basis = np.array(
         [
             apply_to_bell_half(
                 frac_power_x(d, measurement_exponent(d, sx, b0)) @ frac_power_z(d, measurement_exponent(d, sz, b1)), d
-            ).amplitudes
+            )
             for b0 in range(d)
             for b1 in range(d)
         ]

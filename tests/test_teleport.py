@@ -9,6 +9,7 @@ from qracsim import teleport
 from qracsim.teleport import (
     StrategyResult,
     _bell_frame,
+    _composite_full_state_fidelity,
     _weyl,
     composite_nsqrac_via_qracse,
     constrained_povm,
@@ -16,7 +17,7 @@ from qracsim.teleport import (
     nsqrac_favored_strategy,
     nsqrac_split_strategy,
 )
-from reference import frac_power_x, frac_power_z, weyl
+from reference import composite_full_state_fidelity, frac_power_x, frac_power_z, weyl
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -252,6 +253,14 @@ class TestCompositeStrategy:
     def test_full_state_cross_check_recorded(self, result):
         assert abs(result.details["full_state_simulation"] - result.entanglement_fidelity_F) < 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_block_cross_check_equals_full_state_oracle(self, d):
+        # the 4-site block form against the 8-site state vector, bit for bit
+        assert _composite_full_state_fidelity(d) == composite_full_state_fidelity(d)
+
+    def test_block_cross_check_value(self):
+        assert _composite_full_state_fidelity(2) == 0.7285533905932728
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             composite_nsqrac_via_qracse(3)
@@ -264,7 +273,6 @@ class TestStrategyResult:
                 strategy_name="broken",
                 entanglement_fidelity_F=0.5,
                 transmission_fidelity_f=0.9,
-                success_probability=0.5,
                 details={"d": 2},
             )
 
