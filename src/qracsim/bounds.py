@@ -9,9 +9,9 @@ solved exactly as the top eigenpair of an N x N symmetric matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,11 +117,10 @@ def asym_closed_form_n2(p: float, d: int) -> float:
     return float(0.5 * (1 + np.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2)))
 
 
-@dataclass(frozen=True)
-class AsymOptimum:
+class AsymOptimum(NamedTuple):
     value: float
     point: tuple[float, ...]
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def asym_optimize(spec: AsymSpec) -> AsymOptimum:
@@ -172,8 +171,7 @@ def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
     return float(top) if top.ndim == 0 else top
 
 
-@dataclass(frozen=True)
-class MonogamyScan:
+class MonogamyScan(NamedTuple):
     min_residual: float
     n_states: int
     seed: int

@@ -10,9 +10,9 @@ torus of Weyl exponents the indices are mapped onto.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,13 +50,12 @@ class EncodingTable:
         object.__setattr__(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     bijective: bool
     single_distance: bool
-    duplicate_pairs: tuple[Pair, ...] = ()
-    missing_pairs: tuple[Pair, ...] = ()
-    distance_violations: tuple[int, ...] = field(default=())
+    duplicate_pairs: tuple[Pair, ...]
+    missing_pairs: tuple[Pair, ...]
+    distance_violations: tuple[int, ...]
 
     @property
     def valid(self) -> bool:
@@ -116,11 +115,9 @@ def generate_single_distance(d: int) -> EncodingTable:
     return EncodingTable(d=d, pairs=pairs)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     table: EncodingTable
     score: float
-    objective: str
     evaluations: int
 
 
@@ -189,30 +186,30 @@ def _all_cycles(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moves of one climb step on a cycle of n = d^2 cells, the joins each
-    move makes, and the one-digit steps.
+    """Segment reversals of one climb step on a cycle of n = d^2 cells, the
+    joins each reversal makes, and the one-digit steps.
 
-    Row r - 1 of ``moves`` takes a cycle to its rotation by r; the rows after
-    them reverse the segment [i..j] for each i < j in row-major order.
-    ``joins[r]`` holds the two pairs of positions whose cells become
-    neighbours under move r, so a move keeps a valid cycle valid exactly when
-    both pairs are one-digit steps.  Rotations and the full reversal join no
-    new cells; their pairs repeat positions 0 and 1, neighbours already.
-    ``one_step[p, q]`` says whether cells p and q differ in exactly one digit.
+    Row r of ``reversals`` reverses the segment [i..j] of a cycle, for each
+    i < j in row-major order.  ``joins[r]`` holds the two pairs of positions
+    whose cells become neighbours under reversal r, so reversal r keeps a
+    valid cycle valid exactly when both pairs are one-digit steps.  The full
+    reversal joins no new cells; its pairs repeat positions 0 and 1,
+    neighbours already.  ``one_step[p, q]`` says whether cells p and q differ in exactly
+    one digit.  The rotations need no table: a climb reads them off the
+    rotation orbit of its table.
     """
     n = d * d
     k = np.arange(n)
     i, j = np.triu_indices(n, 1)
     reversals = np.where((k >= i[:, None]) & (k <= j[:, None]), (i + j)[:, None] - k, k)
-    moves = np.concatenate([(k + k[1:, None]) % n, reversals])
     joins = np.stack([(i - 1) % n, j, i, (j + 1) % n], axis=1)
     joins[(i == 0) & (j == n - 1)] = (0, 1, 0, 1)
-    joins = np.concatenate([np.tile((0, 1, 0, 1), (n - 1, 1)), joins]).reshape(-1, 2, 2)
+    joins = joins.reshape(-1, 2, 2)
     a, b = np.divmod(k, d)
     one_step = (a[:, None] != a) ^ (b[:, None] != b)
-    for array in (moves, joins, one_step):
+    for array in (reversals, joins, one_step):
         array.setflags(write=False)
-    return moves, joins, one_step
+    return reversals, joins, one_step
 
 
 # Restarts climbing at once in one round of the search; their new orbits, and
@@ -239,6 +236,8 @@ def search_tables(
     first, so the result never scores below it.  Each climb step takes the
     first move that improves the score, rotations before reversals; the
     tables past that move are not counted and do not change the result.
+    The rotations come from the table's rotation orbit, the reversals from
+    the move table of ``_climb_moves``.
 
     Restarts climb in rounds of up to 32, and the tables each climb walks
     through are counted against the budget in start order.  A climb scores
@@ -327,7 +326,7 @@ def search_tables(
                 head += 1
             else:
                 return
-            joined = current[:, reversal_joins]
+            joined = current[:, joins]
             owner, move = np.nonzero(one_step[joined[..., 0], joined[..., 1]].all(axis=2))
             rows = current[owner[:, None], reversals[move]]  # each climb's legal reversals, one after another
             values = score(rows)
@@ -351,8 +350,7 @@ def search_tables(
     if d == 2 or (d == 3 and budget >= len(_all_cycles(3))):
         walk(_all_cycles(d))
     else:
-        all_moves, joins, one_step = _climb_moves(d)
-        reversals, reversal_joins = all_moves[n - 1 :], joins[n - 1 :]
+        reversals, joins, one_step = _climb_moves(d)
         orbits = (np.arange(n) + np.arange(n)[:, None]) % n  # row r rotates a table by r
         seeded, climbs = len(evaluated), 0
         while len(evaluated) < budget:
@@ -368,6 +366,5 @@ def search_tables(
     return SearchResult(
         table=EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in best)),
         score=evaluated[best],
-        objective=objective,
         evaluations=len(evaluated),
     )

@@ -16,7 +16,7 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -86,7 +86,7 @@ class ProtocolReport:
     per_choice: dict[str, float]
     p_avg: float
     p_min: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def __post_init__(self):
         for p in self.per_string.values():

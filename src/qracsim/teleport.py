@@ -14,7 +14,7 @@ the resulting fidelity k/d^2 without assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,8 +42,8 @@ class StrategyResult:
     strategy_name: str
     entanglement_fidelity_F: float
     transmission_fidelity_f: float
-    exact: Fraction | None = None
-    details: dict = field(default_factory=dict)
+    exact: Fraction | None
+    details: dict
 
     def __post_init__(self):
         d = self.details.get("d")

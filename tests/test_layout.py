@@ -7,7 +7,9 @@ definition.  So must every public method and property of a public class, as
 an attribute: a bare name of the same spelling, such as a local variable, is
 not a use of the method.  Builders that serve only as test oracles belong in
 ``tests/reference.py``.  No operator in ``src/`` is embedded densely as
-``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.
+``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.  A
+dataclass in ``src/`` is a record that checks its inputs in
+``__post_init__``; a record that checks nothing is a ``NamedTuple``.
 """
 
 import ast
@@ -99,3 +101,20 @@ def test_no_dense_identity_embedding():
         if _is_call(node, "kron") and any(_is_call(arg, "eye") for arg in node.args)
     ]
     assert embeddings == [], f"kron with an identity factor, use qcore.apply: {embeddings}"
+
+
+def _is_dataclass_decorator(node: ast.AST) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_validates():
+    unchecked = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(dec) for dec in node.decorator_list)
+        and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+    ]
+    assert unchecked == [], f"dataclasses without __post_init__, make them NamedTuples: {unchecked}"

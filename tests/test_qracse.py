@@ -258,9 +258,11 @@ def inverse_stack(d, cycles):
 def legal_moves(d, cells):
     """The tables one climb step scores from the table ``cells``: its
     rotations and the segment reversals that keep it a valid table."""
-    moves, joins, one_step = _climb_moves(d)
+    n = d * d
+    reversals, joins, one_step = _climb_moves(d)
     joined = cells[joins]
-    return cells[moves[one_step[joined[..., 0], joined[..., 1]].all(axis=1)]]
+    rotations = (np.arange(n) + np.arange(1, n)[:, None]) % n
+    return cells[np.concatenate([rotations, reversals[one_step[joined[..., 0], joined[..., 1]].all(axis=1)]])]
 
 
 def generated_cells(d):

@@ -273,6 +273,7 @@ class TestStrategyResult:
                 strategy_name="broken",
                 entanglement_fidelity_F=0.5,
                 transmission_fidelity_f=0.9,
+                exact=None,
                 details={"d": 2},
             )
 
