@@ -155,7 +155,7 @@ def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     return AsymOptimum(
         value=c * lam,
         point=tuple(float(v) for v in x),
-        details={"d": d, "n": n, "surface_residual": abs(float(x @ q @ x) - c)},
+        details={"surface_residual": abs(float(x @ q @ x) - c)},
     )
 
 

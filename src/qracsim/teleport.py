@@ -8,8 +8,9 @@ takes the first k-1 elements to be transposed Bell projectors B_i^T and
 the last to be the transposed complement.  The transpose lands on the POVM
 elements, not the state: it is exactly what the double use of the identity
 (X (x) 1)|psi+> = (1 (x) X^T)|psi+> produces when the measurement is pulled
-through both entangled pairs, and the end-to-end simulation below checks
-the resulting fidelity k/d^2 without assuming it.
+through both entangled pairs.  The simulation below computes every Bell
+outcome's overlaps once per d and takes the complement's term from Bell
+completeness, sum_i B_i = 1, checked once per frame; k/d^2 is its check.
 """
 
 from __future__ import annotations
@@ -85,22 +86,16 @@ def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _branch_overlap(d: int, state: np.ndarray, element: np.ndarray, target: np.ndarray) -> float:
-    """<s| (U^dagger T U)_CB (x) M_DA |s> on the four sites A, B, C, D."""
-    dims = [d, d, d, d]
-    measured = apply(element, (3, 0), state, dims)
-    return expectation(target, (2, 1), state, dims, ket=measured).real
-
-
 class _BellFrame(NamedTuple):
     """The parts of the protocol that do not depend on k, indexed by the
-    outcome label i = a d + b.  All arrays are read-only, and the transposed
-    projectors B_i^T are checked positive semidefinite once, when the frame
-    is built."""
+    outcome label i = a d + b, on the four sites A' A At B.  The arrays are
+    read-only; the transposed projectors B_i^T are checked positive
+    semidefinite, and the B_i complete, once, when the frame is built."""
 
     projectors: np.ndarray  # B_i, which is also the target pulled back through U_i
-    state: np.ndarray  # psi+_AB (x) psi+_CD
-    overlaps: tuple[float, ...]  # branch overlap of outcome i with POVM element B_i^T, i < d^2 - 1
+    state: np.ndarray  # psi+_A'A (x) psi+_AtB
+    overlaps: tuple[tuple[float, ...], ...]  # Q[i][g] = <s| (B_g)_A'B (B_i^T)_AAt |s>
+    probabilities: tuple[float, ...]  # <s| (B_i^T)_AAt |s>
 
 
 @lru_cache(maxsize=None)
@@ -108,11 +103,16 @@ def _bell_frame(d: int) -> _BellFrame:
     psi = bell_state(d)
     projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
     _check_psd(projectors.transpose(0, 2, 1))
+    if np.max(np.abs(projectors.sum(axis=0) - np.eye(d * d))) > POVM_SUM_TOL:
+        raise ValueError("Bell projectors do not sum to the identity")
     state = np.kron(psi, psi)
     for array in (projectors, state):
         array.setflags(write=False)
-    overlaps = tuple(_branch_overlap(d, state, b.T, b) for b in projectors[:-1])
-    return _BellFrame(projectors, state, overlaps)
+    dims = [d] * 4
+    branches = [apply(p.T, (1, 2), state, dims) for p in projectors]
+    targets = [apply(p, (0, 3), state, dims) for p in projectors]
+    overlaps = tuple(tuple(float(np.vdot(t, b).real) for t in targets) for b in branches)
+    return _BellFrame(projectors, state, overlaps, tuple(float(np.vdot(state, b).real) for b in branches))
 
 
 def constrained_povm(d: int, k: int) -> tuple[np.ndarray, ...]:
@@ -140,16 +140,17 @@ def constrained_povm(d: int, k: int) -> tuple[np.ndarray, ...]:
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     """End-to-end simulation of teleportation with only k classical messages.
 
-    Four subsystems A, B, C, D each of dimension d carry psi+_AB (x) psi+_CD.
-    The POVM acts on (D, A) and Bob's correction U_i = (X^a Z^b)^dagger on
-    B; the overlap of the corrected (C, B) branch with |psi+> is summed over
-    outcomes.  The input is pure and the correction commutes with the POVM
-    element, so tracing out A and D leaves the matrix element
-    <s| (U^dagger T U)_CB (x) M_DA |s> on the state vector, with
-    T = |psi+><psi+|.  The term of each Bell outcome B_i^T does not depend
-    on k: it is simulated once per d and reused by every call.  The
-    complement outcome is simulated once per (d, k); every call returns a
-    fresh result.  The exact value k/d^2 is reported alongside.
+    Four subsystems A', A, At, B of dimension d carry psi+_A'A (x) psi+_AtB.
+    The POVM acts on (A, At) and Bob's correction U_i = (X^a Z^b)^dagger on
+    B; the overlap of the corrected (A', B) branch with |psi+> is summed
+    over outcomes.  The input is pure and the correction commutes with the
+    POVM element, so tracing out A and At leaves the matrix element
+    <s| (U^dagger T U)_A'B (x) M_AAt |s>, with T = |psi+><psi+|.  These
+    elements for every Bell outcome and correction form the frame's overlap
+    matrix, simulated once per d.  By Bell completeness, checked once per
+    frame, the complement's term is a column sum of that matrix, so no
+    (d, k) is simulated on its own.  Every call returns a fresh result; the
+    exact value k/d^2 is reported alongside.
     """
     total = _simulated_fidelity(d, k)
     exact = Fraction(k, d * d)
@@ -165,14 +166,16 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
 
 @lru_cache(maxsize=None)
 def _simulated_fidelity(d: int, k: int) -> float:
-    """Sum of the branch overlaps of the k-outcome protocol: the cached Bell
-    terms plus the complement outcome, simulated here."""
-    povm = constrained_povm(d, k)
-    frame = _bell_frame(d)
+    """Sum of the branch overlaps of the k-outcome protocol, read off the
+    frame: Q[i][i] for each Bell outcome i < k-1, and for the complement,
+    which equals the sum of the remaining B_i^T by Bell completeness, the
+    column sum of Q[i][k-1] over i >= k-1."""
+    constrained_povm(d, k)  # range, complement and completeness checks
+    q = _bell_frame(d).overlaps
     total = 0.0
-    for overlap in frame.overlaps[: k - 1]:
-        total += overlap
-    return total + _branch_overlap(d, frame.state, povm[-1], frame.projectors[k - 1])
+    for i in range(d * d):
+        total += q[i][min(i, k - 1)]
+    return total
 
 
 def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
@@ -268,21 +271,16 @@ def _max_wrong_correction_overlap(d: int) -> float:
 
 def _composite_full_state_fidelity(d: int) -> float:
     """Explicit teleportation layer: Bell projectors on Alice's side, decoder
-    statistics and Weyl corrections on the state vector.  Each teleported
-    qudit has its own 4-site block A' A At B, so the 8-site overlap is a
-    product of block terms: q[i][g] = <s| (B_g)_A'B |B_i^T s> for the
-    requested qudit times the outcome probability <s|B_i^T s> of the other."""
+    statistics and Weyl corrections.  Each teleported qudit has its own
+    4-site block A' A At B, so the 8-site overlap is a product of block
+    terms read off the Bell frame: the overlap q[i][g] of the requested
+    qudit times the outcome probability prob[i] of the other."""
     table = builtin_table(d)
     inv = _inverse_array(table)
     kernels = {c: _kernel(d, c) for c in (0, 1)}
     frame = _bell_frame(d)
-
-    dims = [d] * 4  # A' A At B
-    s = frame.state
+    q, prob = frame.overlaps, frame.probabilities
     labels = _weyl_labels(d)
-    branches = [apply(p.T, (1, 2), s, dims) for p in frame.projectors]
-    prob = [np.vdot(s, branch).real for branch in branches]
-    q = [[expectation(t, (0, 3), s, dims, ket=branch).real for t in frame.projectors] for branch in branches]
 
     total = {0: 0.0, 1: 0.0}
     for i1, (a1, b1) in enumerate(labels):

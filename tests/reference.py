@@ -4,9 +4,11 @@ Generalised Pauli (Weyl) operators with fractional exponents, the Bell
 basis, the ket-level encoding and measurement of the coding protocol, the
 published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
-bit, and the composite strategy's teleportation layer on the whole 8-site
+bit, the composite strategy's teleportation layer on the whole 8-site
 state vector, built from the package's Bell frame, which the package's
-4-site block form must also match bit for bit.  The package never builds
+4-site block form must also match bit for bit, and the constrained
+teleportation fidelity with its complement outcome simulated directly, which
+the package reads off the frame's overlap matrix.  The package never builds
 any of these: it reads the protocol off two closed-form kernels, builds
 integer Weyl operators exactly, generates its tables and simulates no more
 than four sites.  These builders take the other route, through the Fourier
@@ -31,7 +33,7 @@ import numpy as np
 from qracsim.codes import EncodingTable, Pair, builtin_table, validate
 from qracsim.qcore import NORM_TOL, apply, ensure_square, expectation
 from qracsim.qracse import _inverse_array, _kernel, measurement_exponent
-from qracsim.teleport import _bell_frame, _weyl_labels
+from qracsim.teleport import _bell_frame, _weyl_labels, constrained_povm
 
 ExponentLike = int | float | Fraction
 
@@ -220,3 +222,25 @@ def composite_full_state_fidelity(d: int) -> float:
                     overlap = expectation(target, pair_sites[c], state, dims, ket=branch).real
                     total[c] += p_dec * overlap
     return 0.5 * (total[0] + total[1])
+
+
+def _branch_overlap(d: int, state: np.ndarray, element: np.ndarray, target: np.ndarray) -> float:
+    """<s| (U^dagger T U)_CB (x) M_DA |s> on the four sites A, B, C, D."""
+    dims = [d, d, d, d]
+    measured = apply(element, (3, 0), state, dims)
+    return expectation(target, (2, 1), state, dims, ket=measured).real
+
+
+def complement_route_fidelity(d: int, k: int) -> float:
+    """The k-outcome teleportation fidelity summed over its branches, each
+    simulated on its own: the Bell outcomes B_i^T, i < k-1, and the
+    complement element of ``constrained_povm(d, k)`` itself, so no step
+    assumes that the Bell projectors sum to the identity.  The frame's state
+    is read as psi+_AB (x) psi+_CD, with the POVM on (D, A) and the target
+    on (C, B)."""
+    povm = constrained_povm(d, k)
+    frame = _bell_frame(d)
+    total = 0.0
+    for b in frame.projectors[: k - 1]:
+        total += _branch_overlap(d, frame.state, b.T, b)
+    return total + _branch_overlap(d, frame.state, povm[-1], frame.projectors[k - 1])

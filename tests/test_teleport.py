@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qracsim import teleport
+from qracsim import qcore, teleport
 from qracsim.teleport import (
     StrategyResult,
     _bell_frame,
     _composite_full_state_fidelity,
+    _simulated_fidelity,
     _weyl,
     composite_nsqrac_via_qracse,
     constrained_povm,
@@ -17,7 +18,7 @@ from qracsim.teleport import (
     nsqrac_favored_strategy,
     nsqrac_split_strategy,
 )
-from reference import composite_full_state_fidelity, frac_power_x, frac_power_z, weyl
+from reference import complement_route_fidelity, composite_full_state_fidelity, frac_power_x, frac_power_z, weyl
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -99,6 +100,13 @@ class TestConstrainedPovm:
         finally:
             _bell_frame.cache_clear()
 
+    def test_frame_rejects_incomplete_projectors(self, monkeypatch, fresh_frames):
+        # the last projector repeats B_0: each one is positive, but they no longer sum to 1
+        weyl_ = teleport._weyl
+        monkeypatch.setattr(teleport, "_weyl", lambda d, a, b: weyl_(d, 0, 0) if a == b == d - 1 else weyl_(d, a, b))
+        with pytest.raises(ValueError, match="^Bell projectors do not sum to the identity$"):
+            _bell_frame(2)
+
     def test_complement_is_checked_per_call(self, monkeypatch):
         constrained_povm(2, 3)
         monkeypatch.setattr(teleport, "PSD_TOL", 1.0)  # no element passes
@@ -146,6 +154,52 @@ class TestConstrainedTeleportation:
     def test_transmission_fidelity_consistent(self):
         result = constrained_teleport_fidelity(2, 3)
         assert result.transmission_fidelity_f == pytest.approx((2 * 0.75 + 1) / 3, abs=1e-12)
+
+
+@pytest.fixture
+def fresh_frames():
+    """Cold Bell frames and fidelities for the test, and again after it."""
+    _bell_frame.cache_clear()
+    _simulated_fidelity.cache_clear()
+    yield
+    _bell_frame.cache_clear()
+    _simulated_fidelity.cache_clear()
+
+
+class TestOverlapMatrix:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_fidelity_matches_complement_route(self, d):
+        for k in range(1, d * d + 1):
+            assert abs(_simulated_fidelity(d, k) - complement_route_fidelity(d, k)) <= 4.4e-16
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_column_sum_matches_complement_route_on_a_generic_state(self, monkeypatch, fresh_frames, d):
+        # on psi+ (x) psi+ every wrong-correction overlap Q[i][g], i != g, vanishes, so
+        # only a generic frame state tells the complement's column sum from its diagonal
+        rng = np.random.default_rng(d)
+        generic = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        projector = teleport._bell_projector
+        monkeypatch.setattr(teleport, "bell_state", lambda _: generic / np.linalg.norm(generic))
+        monkeypatch.setattr(teleport, "_bell_projector", lambda _, w, psi: projector(d, w, qcore.bell_state(d)))
+        for k in range(1, d * d + 1):
+            assert abs(_simulated_fidelity(d, k) - complement_route_fidelity(d, k)) <= 4.4e-16
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_frame_and_sweep_simulate_3d2_applies(self, monkeypatch, fresh_frames, d):
+        # d^2 projectors, d^2 branches and d^2 targets; no (d, k) simulates on its own
+        calls = []
+        apply = qcore.apply
+
+        def counting(*args):
+            calls.append(args[1])
+            return apply(*args)
+
+        monkeypatch.setattr(qcore, "apply", counting)  # the calls inside expectation
+        monkeypatch.setattr(teleport, "apply", counting)
+        _bell_frame(d)
+        for k in range(1, d * d + 1):
+            constrained_teleport_fidelity(d, k)
+        assert len(calls) == 3 * d * d
 
 
 # repr of entanglement_fidelity_F for every (d, k) with d = 2..5, the favored
