@@ -178,7 +178,7 @@ class MonogamyScan(NamedTuple):
     residuals_head: tuple[float, ...]
 
 
-def kay_feasibility_scan(n_states: int = 500, seed: int = 20220314) -> MonogamyScan:
+def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     """Sample random pure three-qubit states on (A1, A2, C) and check the
     fidelity constraint on the two marginals that share the receiver C.
 

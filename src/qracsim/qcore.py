@@ -1,7 +1,7 @@
 """Quantum primitives on state vectors.
 
 The maximally entangled state, local operators applied to a state vector
-and their matrix elements (:func:`apply`, :func:`expectation`, the one
+and their expectation values (:func:`apply`, :func:`expectation`, the one
 simulation primitive of the package), and the conversion between
 entanglement fidelity F and transmission fidelity f.  Everything here is a
 pure function on immutable values, so concurrent use is safe.
@@ -84,17 +84,9 @@ def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequenc
     return out.reshape(tensor.shape).transpose(inverse).reshape(state.shape)
 
 
-def expectation(
-    op: np.ndarray,
-    sites: Sequence[int],
-    state: np.ndarray,
-    dims: Sequence[int],
-    ket: np.ndarray | None = None,
-) -> complex:
-    """Matrix element <state| op |ket> with ``op`` on the given sites; ``ket``
-    defaults to ``state``, which gives the expectation value."""
-    target = state if ket is None else ket
-    return complex(np.vdot(state, apply(op, sites, target, dims)))
+def expectation(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequence[int]) -> complex:
+    """Expectation value <state| op |state> with ``op`` on the given sites."""
+    return complex(np.vdot(state, apply(op, sites, state, dims)))
 
 
 def f_from_F(F: RationalLike, d: int) -> Fraction:

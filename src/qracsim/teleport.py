@@ -8,9 +8,10 @@ takes the first k-1 elements to be transposed Bell projectors B_i^T and
 the last to be the transposed complement.  The transpose lands on the POVM
 elements, not the state: it is exactly what the double use of the identity
 (X (x) 1)|psi+> = (1 (x) X^T)|psi+> produces when the measurement is pulled
-through both entangled pairs.  The simulation below computes every Bell
-outcome's overlaps once per d and takes the complement's term from Bell
-completeness, sum_i B_i = 1, checked once per frame; k/d^2 is its check.
+through both entangled pairs.  No POVM is built: the simulation below
+computes every Bell outcome's overlaps once per d and takes the
+complement's term from Bell completeness, sum_i B_i = 1, checked once per
+frame; k/d^2 is its check.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from .qcore import PSD_TOL, apply, bell_state, expectation, f_from_F, fraction_j
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
-
-
-def _check_psd(stack: np.ndarray) -> None:
-    """Raise unless every matrix of the (n, dim, dim) stack is positive semidefinite."""
-    if np.any(np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))[:, 0] < PSD_TOL):
-        raise ValueError("POVM element is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -87,13 +82,12 @@ def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 class _BellFrame(NamedTuple):
-    """The parts of the protocol that do not depend on k, indexed by the
-    outcome label i = a d + b, on the four sites A' A At B.  The arrays are
-    read-only; the transposed projectors B_i^T are checked positive
-    semidefinite, and the B_i complete, once, when the frame is built."""
+    """The numbers of the protocol that do not depend on k, indexed by the
+    outcome label i = a d + b, on the four sites A' A At B of
+    psi+_A'A (x) psi+_AtB: d^4 + d^2 floats.  The d^2 dense Bell projectors
+    they are read from live only while the frame is built, which checks
+    the transposes B_i^T positive semidefinite and the B_i complete."""
 
-    projectors: np.ndarray  # B_i, which is also the target pulled back through U_i
-    state: np.ndarray  # psi+_A'A (x) psi+_AtB
     overlaps: tuple[tuple[float, ...], ...]  # Q[i][g] = <s| (B_g)_A'B (B_i^T)_AAt |s>
     probabilities: tuple[float, ...]  # <s| (B_i^T)_AAt |s>
 
@@ -101,40 +95,18 @@ class _BellFrame(NamedTuple):
 @lru_cache(maxsize=None)
 def _bell_frame(d: int) -> _BellFrame:
     psi = bell_state(d)
+    # B_i, which is also the target pulled back through U_i
     projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
-    _check_psd(projectors.transpose(0, 2, 1))
+    if np.any(np.linalg.eigvalsh(0.5 * (projectors.transpose(0, 2, 1) + projectors.conj()))[:, 0] < PSD_TOL):
+        raise ValueError("POVM element is not positive semidefinite")
     if np.max(np.abs(projectors.sum(axis=0) - np.eye(d * d))) > POVM_SUM_TOL:
         raise ValueError("Bell projectors do not sum to the identity")
     state = np.kron(psi, psi)
-    for array in (projectors, state):
-        array.setflags(write=False)
     dims = [d] * 4
     branches = [apply(p.T, (1, 2), state, dims) for p in projectors]
     targets = [apply(p, (0, 3), state, dims) for p in projectors]
     overlaps = tuple(tuple(float(np.vdot(t, b).real) for t in targets) for b in branches)
-    return _BellFrame(projectors, state, overlaps, tuple(float(np.vdot(state, b).real) for b in branches))
-
-
-def constrained_povm(d: int, k: int) -> tuple[np.ndarray, ...]:
-    """k-outcome POVM: k-1 transposed Bell projectors plus the transposed
-    complement, as read-only d^2 x d^2 arrays.
-
-    The elements are dense, so the dimension is capped at 8.  The Bell
-    elements were checked positive semidefinite with the frame; each call
-    checks the complement and the completeness.
-    """
-    if not 2 <= d <= 8:
-        raise ValueError("supported dimensions are 2 <= d <= 8")
-    if not 1 <= k <= d * d:
-        raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
-    projectors = _bell_frame(d).projectors[: k - 1]
-    last = np.asarray((np.eye(d * d) - sum(projectors)).T, dtype=complex)
-    last.setflags(write=False)
-    _check_psd(last[None])
-    povm = (*(m.T for m in projectors), last)
-    if np.max(np.abs(np.array(povm).sum(axis=0) - np.eye(d * d))) > POVM_SUM_TOL:
-        raise ValueError("POVM elements do not sum to the identity")
-    return povm
+    return _BellFrame(overlaps, tuple(float(np.vdot(state, b).real) for b in branches))
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
@@ -147,12 +119,21 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     POVM element, so tracing out A and At leaves the matrix element
     <s| (U^dagger T U)_A'B (x) M_AAt |s>, with T = |psi+><psi+|.  These
     elements for every Bell outcome and correction form the frame's overlap
-    matrix, simulated once per d.  By Bell completeness, checked once per
-    frame, the complement's term is a column sum of that matrix, so no
-    (d, k) is simulated on its own.  Every call returns a fresh result; the
-    exact value k/d^2 is reported alongside.
+    matrix Q, simulated once per d: Q[i][i] for each Bell outcome i < k-1,
+    and for the complement, which equals the sum of the remaining B_i^T by
+    Bell completeness, the column sum of Q[i][k-1] over i >= k-1.  The
+    frame holds d^2 dense d^2 x d^2 projectors while it is built, so the
+    dimension is capped at 8.  Every call returns a fresh result; the exact
+    value k/d^2 is reported alongside.
     """
-    total = _simulated_fidelity(d, k)
+    if not 2 <= d <= 8:
+        raise ValueError("supported dimensions are 2 <= d <= 8")
+    if not 1 <= k <= d * d:
+        raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
+    q = _bell_frame(d).overlaps
+    total = 0.0
+    for i in range(d * d):  # left to right: sum() compensates on Python >= 3.12
+        total += q[i][min(i, k - 1)]
     exact = Fraction(k, d * d)
     f = float(f_from_F(exact, d))
     return StrategyResult(
@@ -162,20 +143,6 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
         exact=exact,
         details={"d": d, "k": k, "exact_float": float(exact)},
     )
-
-
-@lru_cache(maxsize=None)
-def _simulated_fidelity(d: int, k: int) -> float:
-    """Sum of the branch overlaps of the k-outcome protocol, read off the
-    frame: Q[i][i] for each Bell outcome i < k-1, and for the complement,
-    which equals the sum of the remaining B_i^T by Bell completeness, the
-    column sum of Q[i][k-1] over i >= k-1."""
-    constrained_povm(d, k)  # range, complement and completeness checks
-    q = _bell_frame(d).overlaps
-    total = 0.0
-    for i in range(d * d):
-        total += q[i][min(i, k - 1)]
-    return total
 
 
 def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
@@ -219,7 +186,7 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     )
 
 
-def composite_nsqrac_via_qracse(d: int = 2) -> StrategyResult:
+def composite_nsqrac_via_qracse(d: int) -> StrategyResult:
     """Quantum-message strategy: encode the 16 teleportation outcomes with the
     entanglement-assisted code and correct with the decoded Weyl label.
 

@@ -5,15 +5,18 @@ basis, the ket-level encoding and measurement of the coding protocol, the
 published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
 bit, the composite strategy's teleportation layer on the whole 8-site
-state vector, built from the package's Bell frame, which the package's
-4-site block form must also match bit for bit, and the constrained
-teleportation fidelity with its complement outcome simulated directly, which
-the package reads off the frame's overlap matrix.  The package never builds
-any of these: it reads the protocol off two closed-form kernels, builds
-integer Weyl operators exactly, generates its tables and simulates no more
-than four sites.  These builders take the other route, through the Fourier
-matrix and one ket at a time, so a test that compares the two checks the
-package against code it does not share.
+state vector, which the package's 4-site block form must also match bit
+for bit, and the constrained teleportation POVM with its fidelity, the
+complement outcome simulated directly, which the package reads off the
+Bell frame's overlap matrix.  The Bell projectors and the frame state are
+built here from the package's own Weyl operators, projector builder and
+maximally entangled state, so their bits are the frame's.  The package
+never builds any of these: it reads the protocol off two closed-form
+kernels, builds integer Weyl operators exactly, generates its tables,
+builds no POVM and simulates no more than four sites.  These builders take
+the other route, through the Fourier matrix and one ket at a time, so a
+test that compares the two checks the package against code it does not
+share.
 
 The shift and clock matrices act on the computational basis as
 X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>.  Fractional powers are
@@ -31,9 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from qracsim.codes import EncodingTable, Pair, builtin_table, validate
-from qracsim.qcore import NORM_TOL, apply, ensure_square, expectation
+from qracsim.qcore import NORM_TOL, apply, bell_state, ensure_square
 from qracsim.qracse import _inverse_array, _kernel, measurement_exponent
-from qracsim.teleport import _bell_frame, _weyl_labels, constrained_povm
+from qracsim.teleport import _bell_projector, _weyl, _weyl_labels
 
 ExponentLike = int | float | Fraction
 
@@ -191,6 +194,26 @@ def two_string_values_accumulate(invs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return per_string, per_choice
 
 
+@lru_cache(maxsize=None)
+def bell_projectors(d: int) -> np.ndarray:
+    """The d^2 Bell projectors B_i, stacked in label order i = a d + b, built
+    as ``teleport._bell_frame`` builds them.  Built once per d; the returned
+    array is shared and read-only."""
+    psi = bell_state(d)
+    projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
+    projectors.setflags(write=False)
+    return projectors
+
+
+def constrained_povm(d: int, k: int) -> tuple[np.ndarray, ...]:
+    """k-outcome POVM of constrained teleportation: k-1 transposed Bell
+    projectors B_i^T plus the transposed complement (1 - sum_{i<k-1} B_i)^T,
+    as d^2 x d^2 arrays."""
+    projectors = bell_projectors(d)[: k - 1]
+    last = np.asarray((np.eye(d * d) - sum(projectors)).T, dtype=complex)
+    return (*(m.T for m in projectors), last)
+
+
 def composite_full_state_fidelity(d: int) -> float:
     """The composite strategy's teleportation layer on the whole 8-site state
     vector: two reference pairs, two shared pairs, Bell projectors on
@@ -200,26 +223,28 @@ def composite_full_state_fidelity(d: int) -> float:
     table = builtin_table(d)
     inv = _inverse_array(table)
     kernels = {c: _kernel(d, c) for c in (0, 1)}
-    frame = _bell_frame(d)
+    projectors = bell_projectors(d)
+    psi = bell_state(d)
 
     dims = [d] * 8  # A1' A1 At1 B1 A2' A2 At2 B2
-    state = np.kron(frame.state, frame.state)
+    block = np.kron(psi, psi)
+    state = np.kron(block, block)
     labels = _weyl_labels(d)
     pair_sites = {0: (0, 3), 1: (4, 7)}  # (reference, output) per choice
 
     total = {0: 0.0, 1: 0.0}
-    for (a1, b1), p1 in zip(labels, frame.projectors):
+    for (a1, b1), p1 in zip(labels, projectors):
         first = apply(p1.T, (1, 2), state, dims)
-        for (a2, b2), p2 in zip(labels, frame.projectors):
+        for (a2, b2), p2 in zip(labels, projectors):
             branch = apply(p2.T, (5, 6), first, dims)
             e0 = inv[a1, a2]
             e1 = inv[b1, b2]
             for c in (0, 1):
-                for (ga, gb), target in zip(labels, frame.projectors):
+                for (ga, gb), target in zip(labels, projectors):
                     p_dec = float(kernels[c][e0, ga] * kernels[c][e1, gb])
                     if p_dec < 1e-15:
                         continue
-                    overlap = expectation(target, pair_sites[c], state, dims, ket=branch).real
+                    overlap = np.vdot(state, apply(target, pair_sites[c], branch, dims)).real
                     total[c] += p_dec * overlap
     return 0.5 * (total[0] + total[1])
 
@@ -228,19 +253,21 @@ def _branch_overlap(d: int, state: np.ndarray, element: np.ndarray, target: np.n
     """<s| (U^dagger T U)_CB (x) M_DA |s> on the four sites A, B, C, D."""
     dims = [d, d, d, d]
     measured = apply(element, (3, 0), state, dims)
-    return expectation(target, (2, 1), state, dims, ket=measured).real
+    return np.vdot(state, apply(target, (2, 1), measured, dims)).real
 
 
-def complement_route_fidelity(d: int, k: int) -> float:
+def complement_route_fidelity(d: int, k: int, psi: np.ndarray | None = None) -> float:
     """The k-outcome teleportation fidelity summed over its branches, each
     simulated on its own: the Bell outcomes B_i^T, i < k-1, and the
     complement element of ``constrained_povm(d, k)`` itself, so no step
-    assumes that the Bell projectors sum to the identity.  The frame's state
-    is read as psi+_AB (x) psi+_CD, with the POVM on (D, A) and the target
-    on (C, B)."""
+    assumes that the Bell projectors sum to the identity.  The state is
+    psi_AB (x) psi_CD, with psi = |psi+> unless given, the POVM on (D, A)
+    and the target on (C, B)."""
     povm = constrained_povm(d, k)
-    frame = _bell_frame(d)
+    projectors = bell_projectors(d)
+    psi = bell_state(d) if psi is None else psi
+    state = np.kron(psi, psi)
     total = 0.0
-    for b in frame.projectors[: k - 1]:
-        total += _branch_overlap(d, frame.state, b.T, b)
-    return total + _branch_overlap(d, frame.state, povm[-1], frame.projectors[k - 1])
+    for b in projectors[: k - 1]:
+        total += _branch_overlap(d, state, b.T, b)
+    return total + _branch_overlap(d, state, povm[-1], projectors[k - 1])

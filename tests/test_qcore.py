@@ -159,8 +159,6 @@ class TestApply:
         tensor = psi.reshape(dims)
         assert np.allclose(apply(op, sites, tensor, dims), (full @ psi).reshape(dims), atol=1e-12)
         assert expectation(op, sites, psi, dims) == pytest.approx(np.vdot(psi, full @ psi), abs=1e-12)
-        ket = _random_state(psi.size, rng)
-        assert expectation(op, sites, psi, dims, ket=ket) == pytest.approx(np.vdot(psi, full @ ket), abs=1e-12)
 
     def test_expectation_of_hermitian_is_real(self):
         rng = np.random.default_rng(9)

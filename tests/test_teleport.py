@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from qracsim.teleport import (
     StrategyResult,
     _bell_frame,
     _composite_full_state_fidelity,
-    _simulated_fidelity,
     _weyl,
     composite_nsqrac_via_qracse,
-    constrained_povm,
     constrained_teleport_fidelity,
     nsqrac_favored_strategy,
     nsqrac_split_strategy,
 )
-from reference import complement_route_fidelity, composite_full_state_fidelity, frac_power_x, frac_power_z, weyl
+from reference import (
+    complement_route_fidelity,
+    composite_full_state_fidelity,
+    constrained_povm,
+    frac_power_x,
+    frac_power_z,
+    weyl,
+)
 
 GRAY_D2_VALUE = (3 + 2 * np.sqrt(2)) / 8
 
@@ -51,44 +57,45 @@ class TestConstrainedPovm:
         assert np.max(np.abs(sum(povm) - np.eye(4))) < 1e-12
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            constrained_povm(2, 5)
-        with pytest.raises(ValueError):
-            constrained_povm(2, 0)
+        for k in (5, 0):
+            with pytest.raises(ValueError, match=rf"^k must lie in 1\.\.d\^2, got k={k} for d=2$"):
+                constrained_teleport_fidelity(2, k)
 
     @pytest.mark.parametrize("d", [0, 1, 9])
     def test_dimension_outside_the_cap(self, d):
-        with pytest.raises(ValueError, match="supported dimensions are 2 <= d <= 8"):
-            constrained_povm(d, 1)
         with pytest.raises(ValueError, match="supported dimensions are 2 <= d <= 8"):
             constrained_teleport_fidelity(d, 1)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cached_frame_and_elements_are_read_only(self, d):
         before = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
-        arrays = [a for a in _bell_frame(d) if isinstance(a, np.ndarray)]
-        for k in range(1, d * d + 1):
-            arrays.extend(constrained_povm(d, k))
-        for array in arrays:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[(0,) * array.ndim] = 7.0
+        frame = _bell_frame(d)
+        assert type(frame.overlaps) is tuple and len(frame.overlaps) == d * d
+        for row in (*frame.overlaps, frame.probabilities):
+            assert type(row) is tuple and len(row) == d * d
+            assert all(type(x) is float for x in row)
         after = [constrained_teleport_fidelity(d, k).entanglement_fidelity_F for k in range(1, d * d + 1)]
         assert after == before
 
-    def test_warm_povm_checks_only_the_complement(self, monkeypatch):
-        constrained_povm(8, 64)  # builds and checks the d = 8 frame
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_sweep_after_the_frame_builds_and_checks_nothing(self, monkeypatch, fresh_frames, d):
+        # every F reads the frame: no (d, k) applies, builds or checks a POVM element
+        _bell_frame(d)
+        calls = []
 
-        def counting(a, *args, **kwargs):
-            seen.append(int(np.prod(np.shape(a)[:-2])))
-            return eigvalsh(a, *args, **kwargs)
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        povm = constrained_povm(8, 64)
-        assert len(povm) == 64
-        assert sum(seen) <= 1
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(qcore, "apply", counting("apply", qcore.apply))
+        monkeypatch.setattr(teleport, "apply", counting("apply", qcore.apply))
+        for k in range(1, d * d + 1):
+            constrained_teleport_fidelity(d, k)
+        assert calls == []
 
     def test_frame_rejects_a_negative_projector(self, monkeypatch):
         # the frame's own check is the one the warm calls rely on
@@ -106,12 +113,6 @@ class TestConstrainedPovm:
         monkeypatch.setattr(teleport, "_weyl", lambda d, a, b: weyl_(d, 0, 0) if a == b == d - 1 else weyl_(d, a, b))
         with pytest.raises(ValueError, match="^Bell projectors do not sum to the identity$"):
             _bell_frame(2)
-
-    def test_complement_is_checked_per_call(self, monkeypatch):
-        constrained_povm(2, 3)
-        monkeypatch.setattr(teleport, "PSD_TOL", 1.0)  # no element passes
-        with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
-            constrained_povm(2, 3)
 
 
 class TestConstrainedTeleportation:
@@ -158,19 +159,18 @@ class TestConstrainedTeleportation:
 
 @pytest.fixture
 def fresh_frames():
-    """Cold Bell frames and fidelities for the test, and again after it."""
+    """Cold Bell frames for the test, and again after it."""
     _bell_frame.cache_clear()
-    _simulated_fidelity.cache_clear()
     yield
     _bell_frame.cache_clear()
-    _simulated_fidelity.cache_clear()
 
 
 class TestOverlapMatrix:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_fidelity_matches_complement_route(self, d):
         for k in range(1, d * d + 1):
-            assert abs(_simulated_fidelity(d, k) - complement_route_fidelity(d, k)) <= 4.4e-16
+            fidelity = constrained_teleport_fidelity(d, k).entanglement_fidelity_F
+            assert abs(fidelity - complement_route_fidelity(d, k)) <= 4.4e-16
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_column_sum_matches_complement_route_on_a_generic_state(self, monkeypatch, fresh_frames, d):
@@ -178,11 +178,15 @@ class TestOverlapMatrix:
         # only a generic frame state tells the complement's column sum from its diagonal
         rng = np.random.default_rng(d)
         generic = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        psi = generic / np.linalg.norm(generic)
         projector = teleport._bell_projector
-        monkeypatch.setattr(teleport, "bell_state", lambda _: generic / np.linalg.norm(generic))
-        monkeypatch.setattr(teleport, "_bell_projector", lambda _, w, psi: projector(d, w, qcore.bell_state(d)))
+        monkeypatch.setattr(teleport, "bell_state", lambda _: psi)
+        monkeypatch.setattr(teleport, "_bell_projector", lambda _, w, _psi: projector(d, w, qcore.bell_state(d)))
+        # off psi+ F is no longer k/d^2, so the result's f = (d F + 1)/(d + 1) check cannot hold
+        monkeypatch.setattr(teleport, "StrategyResult", SimpleNamespace)
         for k in range(1, d * d + 1):
-            assert abs(_simulated_fidelity(d, k) - complement_route_fidelity(d, k)) <= 4.4e-16
+            fidelity = constrained_teleport_fidelity(d, k).entanglement_fidelity_F
+            assert abs(fidelity - complement_route_fidelity(d, k, psi)) <= 4.4e-16
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_frame_and_sweep_simulate_3d2_applies(self, monkeypatch, fresh_frames, d):
@@ -194,7 +198,7 @@ class TestOverlapMatrix:
             calls.append(args[1])
             return apply(*args)
 
-        monkeypatch.setattr(qcore, "apply", counting)  # the calls inside expectation
+        monkeypatch.setattr(qcore, "apply", counting)
         monkeypatch.setattr(teleport, "apply", counting)
         _bell_frame(d)
         for k in range(1, d * d + 1):
