@@ -9,6 +9,8 @@ solved exactly as the top eigenpair of an N x N symmetric matrix.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -182,13 +184,25 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     """Sample random pure three-qubit states on (A1, A2, C) and check the
     fidelity constraint on the two marginals that share the receiver C.
 
-    State i is g[i, 0] + 1j g[i, 1], normalised, with g drawn in one
-    standard_normal((n_states, 2, 8)) call: the stream of per-state draws."""
+    The states come from one stdlib stream, random.Random(seed).random(),
+    whose sequence Python keeps across versions.  State m = 0, 1, ... takes
+    the next 16 uniforms in order: amplitude j = 0..7 takes u1, u2 and is
+    r (cos t + i sin t) with r = sqrt(-2 ln(1 - u1)) and t = 2 pi u2, by
+    scalar Box-Muller in math, so the draw does not depend on numpy's SIMD
+    dispatch.  The normalised complex Gaussian vector is Haar-random."""
     if n_states < 1:
         raise ValueError("need at least one state")
-    g = np.random.default_rng(seed).standard_normal((n_states, 2, 8))
-    psi = g[:, 0] + 1j * g[:, 1]
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    if not isinstance(seed, int) or seed < 0:  # random.Random would take abs(seed), or hash a float
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    uniform = random.Random(seed).random
+    amplitudes = []
+    for _ in range(8 * n_states):
+        r = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+        t = 2.0 * math.pi * uniform()
+        amplitudes.append(complex(r * math.cos(t), r * math.sin(t)))
+    psi = np.array(amplitudes).reshape(n_states, 8)
+    # squares and sum in separate loops: np.linalg.norm's complex product fuses into an FMA on AVX2/AVX-512
+    psi /= np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1, keepdims=True))
     norm_error = np.abs(np.linalg.norm(psi, axis=1) - 1.0).max()
     if not norm_error <= NORM_TOL:  # NaN fails this comparison
         raise ValueError(f"ket must be normalised, |norm - 1| = {norm_error:.3e}")

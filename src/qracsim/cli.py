@@ -479,7 +479,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_negative_numbers_as_values(argv))
     try:
-        # numpy's generators reject a negative seed only once the work has begun
+        # one message naming --seed on both seeded paths: reproduce-all reaches the Kay scan's own
+        # seed check only after writing the other artifacts, and qracse --table search would
+        # otherwise report numpy's SeedSequence error
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -1,8 +1,13 @@
 """Prints one PASS/FAIL line per acceptance criterion after the test run,
-and provides the shared reproduction run."""
+and provides the shared reproduction run and the environment of child
+processes."""
+
+import os
+from pathlib import Path
 
 import pytest
 
+import qracsim
 from qracsim.cli import run_reproduction
 
 REFERENCE_SEED = 20220314
@@ -15,6 +20,15 @@ def reproduction(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("reports")
     checks, summary = run_reproduction(seed=REFERENCE_SEED, out_dir=out_dir)
     return out_dir, checks, summary
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """os.environ with the qracsim under test first on PYTHONPATH, for tests
+    that run the package in a child process."""
+    src = str(Path(qracsim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
 
 _acceptance_labels = {}
 

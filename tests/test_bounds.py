@@ -1,3 +1,8 @@
+import cmath
+import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -267,16 +272,25 @@ class TestMonogamyScan:
         b = kay_feasibility_scan(n_states=20, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        # random.Random would take abs(-1) or hash 1.5 and run on
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            kay_feasibility_scan(n_states=2, seed=seed)
+
     @pytest.mark.parametrize("seed", [20220314, 7])
     def test_every_residual_matches_per_state_oracle(self, seed, monkeypatch):
-        # independent route: one draw per state and each marginal entry
+        # independent route: each state's 16 uniforms in the documented order,
+        # Box-Muller by log1p and cmath.rect, and each marginal entry
         # rho[i, j] = <psi|(|j><i|)_{A_k C}|psi> by qcore.expectation
         n_states = 60
-        rng = np.random.default_rng(seed)
+        uniform = random.Random(seed).random
         units = np.eye(4)
         expected = []
         for _ in range(n_states):
-            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            u = [uniform() for _ in range(16)]
+            pairs = zip(u[::2], u[1::2])
+            v = np.array([cmath.rect(math.sqrt(-2 * math.log1p(-u1)), 2 * math.pi * u2) for u1, u2 in pairs])
             psi = v / np.linalg.norm(v)
             fidelities = []
             for sites in ((0, 2), (1, 2)):
@@ -289,3 +303,22 @@ class TestMonogamyScan:
         assert np.allclose(scan.residuals_head, expected, rtol=0, atol=1e-12)
         assert scan.min_residual == pytest.approx(min(expected), rel=0, abs=1e-12)
 
+    def test_bytes_do_not_depend_on_numpy_simd_dispatch(self, child_env):
+        # the draw is scalar math and the norm fuses no complex product, so switching numpy's
+        # dispatched kernels off must not move a bit
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        if not dispatched:
+            pytest.skip("numpy dispatches no optional CPU feature on this machine")
+        # every residual, not only the reported head and minimum, which a last-bit move can miss
+        code = "from qracsim import bounds; bounds.KAY_SCAN_HEAD = 500; print(repr(bounds.kay_feasibility_scan(500, 20220314)))"
+        outputs = []
+        for disabled in ("", " ".join(dispatched)):
+            env = {**child_env, "NPY_DISABLE_CPU_FEATURES": disabled}
+            run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]

@@ -3,7 +3,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-import qracsim
 from qracsim import codes, qracse, teleport
 from qracsim.cli import main
 
@@ -179,19 +177,27 @@ class TestReproduceAll:
         capsys.readouterr()
         assert code == 0
 
-    def test_artifacts_do_not_depend_on_blas_thread_count(self, tmp_path):
+    def test_artifacts_do_not_depend_on_blas_thread_count(self, tmp_path, child_env):
         # the Kay scan runs stacked matmul and eigvalsh, which BLAS may split across threads
-        src = str(Path(qracsim.__file__).resolve().parents[1])
         artifacts = []
         for threads in ("1", "2"):
             out_dir = tmp_path / f"threads{threads}"
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            env = {**child_env, "OPENBLAS_NUM_THREADS": threads}
             argv = [sys.executable, "-m", "qracsim.cli", "reproduce-all", "--out", str(out_dir)]
             subprocess.run(argv, env=env, check=True, capture_output=True)
             artifacts.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
         assert len(artifacts[0]) == 11
         assert artifacts[0] == artifacts[1]
+
+    def test_reproduction_never_imports_numpy_random(self, tmp_path, child_env):
+        # importing numpy.random costs about 5 MiB and 15-20 ms, and nothing in the reproduction needs it
+        code = (
+            "import sys; from pathlib import Path; from qracsim import cli; "
+            f"cli.run_reproduction(20220314, Path({str(tmp_path / 'r')!r})); "
+            "print('numpy.random' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=child_env, check=True, capture_output=True, text=True)
+        assert run.stdout.strip() == "False"
 
     def test_env_var_default_directory(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"
