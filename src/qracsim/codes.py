@@ -10,6 +10,7 @@ torus of Weyl exponents the indices are mapped onto.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -131,44 +132,43 @@ def _rook_neighbours(d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cycles(d: int, start: int, rng: np.random.Generator | None = None) -> Iterator[list[int]]:
+def _cycles(d: int, start: int, rng: random.Random | None = None) -> Iterator[list[int]]:
     """Hamiltonian cycles of the rook graph of the d x d digit grid that begin
-    at ``start``, as cells a*d + b, found lazily depth first.  The neighbours
-    of the path's end are tried in a fixed order, or shuffled by ``rng``."""
+    at ``start``, as cells a*d + b, found lazily depth first.  Each cell on the
+    path keeps the neighbours that were free when the path reached it, which
+    are free again whenever the search comes back to it, and tries the last of
+    them or one drawn with ``rng.randrange``.  A branch ends as soon as no free
+    neighbour of ``start`` is left to close the cycle."""
     nbrs = _rook_neighbours(d)
     n = d * d
+    closes = [start in nbrs[cell] for cell in range(n)]
+    free = [cell != start for cell in range(n)]
+    ends = sum(closes)  # free neighbours of start
     path = [start]
-    used = [False] * n
-    used[start] = True
-
-    def options(cell: int) -> Iterator[int]:
-        cells = list(nbrs[cell])
-        if rng is not None:
-            rng.shuffle(cells)
-        return iter(cells)
-
-    stack = [options(start)]  # untried neighbours of each cell on the path
+    stack = [list(nbrs[start])]  # untried free neighbours of each cell on the path
     while stack:
-        for nxt in stack[-1]:
-            if not used[nxt]:
-                break
-        else:
+        options = stack[-1]
+        if not options:
             stack.pop()
-            used[path.pop()] = False
+            cell = path.pop()
+            free[cell] = True
+            ends += closes[cell]
             continue
+        nxt = options.pop(rng.randrange(len(options)) if rng is not None else -1)
         if len(path) == n - 1:
-            if start in nbrs[nxt]:
+            if closes[nxt]:
                 yield path + [nxt]
-        else:
+        elif ends > closes[nxt]:
+            free[nxt] = False
+            ends -= closes[nxt]
             path.append(nxt)
-            used[nxt] = True
-            stack.append(options(nxt))
+            stack.append([cell for cell in nbrs[nxt] if free[cell]])
 
 
-def _random_cycle(d: int, rng: np.random.Generator) -> list[int]:
+def _random_cycle(d: int, rng: random.Random) -> list[int]:
     """Random Hamiltonian cycle on the rook graph: the first one a depth-first
     search from a random cell finds, trying neighbours in random order."""
-    return next(_cycles(d, int(rng.integers(d * d)), rng))
+    return next(_cycles(d, rng.randrange(d * d), rng))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +216,7 @@ def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # then their legal reversals, share one batch, so this caps a batch's rows and
 # with them the search's peak memory.  Peak RSS of a process that imports the
 # package and runs search_tables(4, "p_min", 10000, 1), median of 8 runs (numpy
-# 2.4.6, x86-64): 37.99 MiB at 16, 38.20 MiB at 32, 38.45 MiB at 64.
+# 2.4.6, x86-64): 32.67 MiB at 16, 32.67 MiB at 32, 33.08 MiB at 64.
 _ROUND_CLIMBS = 32
 
 
@@ -229,8 +229,9 @@ def search_tables(
     """Search valid single-distance tables for the best protocol score.
 
     Exhaustive for d = 2, and for d = 3 once the budget covers all 864
-    valid tables; otherwise seeded random restarts over Hamiltonian cycles
-    of the rook graph, climbing by rotation and segment-reversal moves.
+    valid tables; otherwise random restarts over Hamiltonian cycles of the
+    rook graph, drawn by ``_random_cycle`` from ``random.Random(seed)``,
+    climbing by rotation and segment-reversal moves.
     ``budget`` caps the number of distinct tables evaluated.  The generated
     table, which is the built-in one where that exists, is always evaluated
     first, so the result never scores below it.  Each climb step takes the
@@ -244,11 +245,14 @@ def search_tables(
     the rotation orbit of each table it reaches once, and the result is the
     same as climbing the restarts one at a time, scoring each move list
     afresh: every table's score is exact and independent of its batch.
-    Deterministic for a fixed seed; ties break to the lexicographically
-    smallest pair sequence.
+    Deterministic for a fixed seed, which must be a non-negative integer;
+    ties break to the lexicographically smallest pair sequence.  ``p_min``
+    is the square of the smallest line mean of ``qracse._line_means``.
     """
-    from .qracse import _two_string_values  # local import; qracse depends on this module
+    from .qracse import _line_means, _two_string_values  # local import; qracse depends on this module
 
+    if not isinstance(seed, int) or seed < 0:  # random.Random would take abs(seed), or hash a float
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if objective not in ("p_min", "p_avg"):
         raise ValueError(f"unknown objective {objective!r}")
     if budget < 1:
@@ -259,16 +263,16 @@ def search_tables(
         )
 
     n = d * d
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     evaluated: dict[bytes, float] = {}  # uint8 cells a*d + b of each table -> score
 
     def score(cycles: np.ndarray) -> np.ndarray:
         invs = np.full(cycles.shape, -1, dtype=np.intp)  # a row that is no permutation keeps a -1
         invs[np.arange(len(cycles))[:, None], cycles] = np.arange(n)
-        per_string, per_choice = _two_string_values(invs.reshape(-1, d, d))
-        if objective == "p_min":
-            return per_string.reshape(len(cycles), -1).min(axis=1)
-        return per_choice.mean(axis=1)
+        invs = invs.reshape(-1, d, d)
+        if objective == "p_min":  # min of r_c[v0] r_c[v1] is (min r)^2, as r >= 0 and rounding is monotone
+            return _line_means(invs).reshape(len(cycles), -1).min(axis=1) ** 2
+        return _two_string_values(invs)[1].mean(axis=1)
 
     def keys(cycles: np.ndarray) -> list[bytes]:
         return cycles.astype(np.uint8).view(np.dtype((np.void, n))).ravel().tolist()
@@ -289,21 +293,25 @@ def search_tables(
         """Climb ``size`` fresh restarts in lockstep, counting each climb's
         tables once every earlier climb is counted, until the budget runs out.
         One batch scores the rotation orbits of the tables the climbs reach (a
-        start or an accepted reversal); rotating the orbit's table at offset p
-        by r gives the one at (p + r) mod n, so the rotation steps need no
-        more scores.  Then one batch scores every moving climb's reversals."""
+        start or an accepted reversal, whose own score the reversal batch
+        gave); rotating the orbit's table at offset p by r gives the one at
+        (p + r) mod n, so the rotation steps need no more scores.  Then one
+        batch scores every moving climb's reversals."""
         tables = np.array([_random_cycle(d, rng) for _ in range(size)], dtype=np.intp)
         walked = [[] for _ in range(size)]
         active = np.arange(size)  # climbs still moving, in start order
-        head, starting = 0, True  # the first climb not yet fully counted; the tables are starts
+        head = 0  # the first climb not yet fully counted
+        known, reached = 0, ([], [])  # 1 once the tables are accepted reversals, with their keys and scores
         while True:
             if len(active):
-                rows = tables[:, orbits].reshape(-1, n)
+                m = n - known  # rotations to score per table
+                rows = tables[:, orbits[known:]].reshape(-1, n)
                 row_keys, row_values = keys(rows), score(rows).tolist()
                 offsets, beats = [], []
                 for i, climb in enumerate(active.tolist()):
-                    ks, vs = row_keys[i * n : (i + 1) * n] * 2, row_values[i * n : (i + 1) * n] * 2
-                    if starting:
+                    ks = (reached[0][i : i + known] + row_keys[i * m : (i + 1) * m]) * 2
+                    vs = (reached[1][i : i + known] + row_values[i * m : (i + 1) * m]) * 2
+                    if not known:
                         walked[climb].append((ks[0], vs[0]))
                     p = 0
                     while True:  # the first rotation that improves, until none does
@@ -313,9 +321,9 @@ def search_tables(
                         if vs[r] <= beat:
                             break
                         p = r % n
-                    offsets.append(i * n + p)
+                    offsets.append(p)
                     beats.append(vs[p])
-                current, starting = rows[offsets], False
+                current = tables[np.arange(len(offsets))[:, None], orbits[offsets]]
             while head < size:
                 count(walked[head])
                 if len(evaluated) == budget:
@@ -339,8 +347,9 @@ def search_tables(
             row_keys, row_values = keys(rows), values.tolist()
             for climb, lo, hi in zip(active.tolist(), starts.tolist(), np.minimum(accepted + 1, ends).tolist()):
                 walked[climb].extend(zip(row_keys[lo:hi], row_values[lo:hi]))
-            active = active[moved]
-            tables = rows[accepted[moved]]
+            picked = accepted[moved].tolist()
+            active, tables, known = active[moved], rows[picked], 1
+            reached = [row_keys[a] for a in picked], [row_values[a] for a in picked]
 
     def cells(pairs: tuple[Pair, ...]) -> np.ndarray:
         return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)

@@ -161,11 +161,9 @@ def _inverse_array(table: EncodingTable) -> np.ndarray:
     return inv
 
 
-def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-string success of a stack of tables given as inverse arrays (M, d, d).
+def _line_means(invs: np.ndarray) -> np.ndarray:
+    """Line means r, shape (M, 2, d), of a stack of tables given as inverse arrays (M, d, d).
 
-    Returns the per-string values, shape (M, 2, d, d) indexed by (table,
-    choice, requested v0, v1), and the per-choice values, shape (M, 2).
     Both registers are read with choice c, and the requested string's digits
     v0, v1 sit in different registers, so the success of string v is
     r_c[v0] r_c[v1] with r_0[v] = mean_y K_0[inv[v, y], v] (the first string
@@ -179,10 +177,16 @@ def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.arange(d)[:, None]
     # one flat gather per choice; terms[:, v, j] is the j-th of the d kernel values averaged into r_c[v]
     terms = [_kernel(d, c).ravel().take(inv * d + v) for c, inv in enumerate((invs, invs.transpose(0, 2, 1)))]
-    r = np.stack([_sum_in_order(t) for t in terms], axis=1) / d
-    per_string = r[..., :, None] * r[..., None, :]
-    per_choice = (_sum_in_order(r) / d) ** 2
-    return per_string, per_choice
+    return np.stack([_sum_in_order(t) for t in terms], axis=1) / d
+
+
+def _two_string_values(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-string success of a stack of tables given as inverse arrays (M, d, d):
+    the per-string values r_c[v0] r_c[v1] of :func:`_line_means`, shape (M, 2,
+    d, d) indexed by (table, choice, requested v0, v1), and the per-choice
+    values, shape (M, 2)."""
+    r = _line_means(invs)
+    return r[..., :, None] * r[..., None, :], (_sum_in_order(r) / r.shape[-1]) ** 2
 
 
 def _sum_in_order(a: np.ndarray) -> np.ndarray:

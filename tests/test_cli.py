@@ -199,6 +199,16 @@ class TestReproduceAll:
         run = subprocess.run([sys.executable, "-c", code], env=child_env, check=True, capture_output=True, text=True)
         assert run.stdout.strip() == "False"
 
+    def test_search_never_imports_numpy_random(self, child_env):
+        # the search draws its restarts from random.Random, which import qracsim.cli already loads
+        code = (
+            "import sys; from qracsim import cli, codes; "
+            "codes.search_tables(4, 'p_min', 200, 0); "
+            "print('numpy.random' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=child_env, check=True, capture_output=True, text=True)
+        assert run.stdout.strip() == "False"
+
     def test_env_var_default_directory(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("QRACSIM_OUTPUT_DIR", str(target))

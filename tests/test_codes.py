@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import qracsim.qracse
 from qracsim.codes import (
     EncodingTable,
     TableUnavailableError,
+    _all_cycles,
     _climb_moves,
     _random_cycle,
     _ROUND_CLIMBS,
@@ -163,6 +165,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tables(6, "p_min", budget=5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed, monkeypatch):
+        # random.Random would silently take abs(-1) or hash 1.5; no cycle may be drawn first
+        monkeypatch.setattr(qracsim.codes, "_random_cycle", None)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            search_tables(4, "p_min", budget=100, seed=seed)
+
     @pytest.mark.parametrize("objective", ["p_min", "p_avg"])
     def test_d3_budget_past_the_space_stops_after_every_table(self, objective):
         # there are only 864 valid d = 3 tables, so a larger budget must stop there
@@ -196,14 +205,15 @@ def test_search_scores_bounded_batches(monkeypatch):
     # a round scores one step of each of its climbs per batch, so a batch never
     # holds more than a full move list for every climb of the round
     batches = []
-    scorer = qracsim.qracse._two_string_values
+    scorer = qracsim.qracse._line_means
 
     def recording(invs):
         batches.append(len(invs))
         return scorer(invs)
 
-    monkeypatch.setattr(qracsim.qracse, "_two_string_values", recording)
+    monkeypatch.setattr(qracsim.qracse, "_line_means", recording)
     assert search_tables(4, "p_min", 10000, 0).evaluations == 10000
+    assert sum(batches) >= 10000  # every counted table went through the scorer
     assert max(batches) <= _ROUND_CLIMBS * len(_climb_moves(4)[0])
     assert max(batches) > len(_climb_moves(4)[0])  # climbs do share batches
 
@@ -214,40 +224,40 @@ def test_search_scores_each_table_about_once(seed, monkeypatch):
     # its rotation steps from those scores, so the rows scored stay within 1.25
     # times the budget
     rows = []
-    scorer = qracsim.qracse._two_string_values
+    scorer = qracsim.qracse._line_means
 
     def recording(invs):
         rows.append(len(invs))
         return scorer(invs)
 
-    monkeypatch.setattr(qracsim.qracse, "_two_string_values", recording)
+    monkeypatch.setattr(qracsim.qracse, "_line_means", recording)
     assert search_tables(4, "p_min", 10000, seed).evaluations == 10000
-    assert sum(rows) <= 12_500
+    assert 10_000 <= sum(rows) <= 12_500
 
 
 def hash_scorer(modulus):
-    """Stand-in for ``qracse._two_string_values``: every table scores a weighted
-    sum of its inverse array mod ``modulus``, scaled into [0, 1), on each
-    string and choice.  Like the real scorer, each row's value depends on that
-    row alone, but the hash scores differ from table to table, so climbs move.
-    With the real scorer the d = 4 and 5 searches return the generated table
-    they start from, which pins little about the climb."""
+    """Stand-in for ``qracse._line_means``: every table takes a weighted sum of
+    its inverse array mod ``modulus``, scaled into [0, 1), as each of its line
+    means.  Like the real scorer, each row's value depends on that row alone,
+    but the hash scores differ from table to table, so climbs move.  With the
+    real scorer the d = 4 and 5 searches return the generated table they start
+    from, which pins little about the climb."""
 
-    def values(invs):
+    def line_means(invs):
         m, d, _ = invs.shape
         weights = np.array([pow(31, k, modulus) for k in range(d * d)], dtype=np.int64)
         score = (invs.reshape(m, -1).astype(np.int64) @ weights) % modulus / modulus
-        return np.broadcast_to(score[:, None, None, None], (m, 2, d, d)), np.broadcast_to(score[:, None], (m, 2))
+        return np.broadcast_to(score[:, None, None], (m, 2, d))
 
-    return values
+    return line_means
 
 
 # fine: almost every table scores differently, which pins the set of counted tables;
 # coarse: many ties, which pins the tie-break
 HASH_MODULI = {"fine": 1_000_003, "coarse": 997}
 
-# _random_cycle draws, and search_tables results under the hash scorers, recorded
-# before the restarts climbed in rounds
+# _random_cycle draws from random.Random(seed) with the stream's next 32 bits, and
+# search_tables results under the hash scorers
 GOLDEN_TRAJECTORY = json.loads((Path(__file__).parent / "golden_search_trajectory.json").read_text())
 
 
@@ -260,13 +270,13 @@ def _trajectory_id(case):
 @pytest.mark.parametrize("case", GOLDEN_TRAJECTORY, ids=_trajectory_id)
 def test_search_trajectory_matches_golden(case, monkeypatch):
     if case["kind"] == "cycle":
-        rng = np.random.default_rng(case["seed"])
-        assert {"cycle": _random_cycle(case["d"], rng), "next": int(rng.integers(2**32))} == {
+        rng = random.Random(case["seed"])
+        assert {"cycle": _random_cycle(case["d"], rng), "next": rng.getrandbits(32)} == {
             "cycle": case["cycle"],
             "next": case["next"],
         }
         return
-    monkeypatch.setattr(qracsim.qracse, "_two_string_values", hash_scorer(HASH_MODULI[case["scorer"]]))
+    monkeypatch.setattr(qracsim.qracse, "_line_means", hash_scorer(HASH_MODULI[case["scorer"]]))
     result = search_tables(case["d"], case["objective"], case["budget"], case["seed"])
     assert ([list(p) for p in result.table.pairs], result.score, result.evaluations) == (
         case["table"],
@@ -278,7 +288,7 @@ def test_search_trajectory_matches_golden(case, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("d, objective, budget", [(4, "p_min", 2000), (5, "p_avg", 500)])
 def test_search_result_does_not_depend_on_round_size(d, objective, budget, seed, monkeypatch):
-    monkeypatch.setattr(qracsim.qracse, "_two_string_values", hash_scorer(HASH_MODULI["fine"]))
+    monkeypatch.setattr(qracsim.qracse, "_line_means", hash_scorer(HASH_MODULI["fine"]))
     results = {}
     for size in (1, 16, 32):
         monkeypatch.setattr(qracsim.codes, "_ROUND_CLIMBS", size)
@@ -296,3 +306,29 @@ def test_rotations_and_reflections_stay_valid(d, rotation, flip):
     if flip:
         pairs = [pairs[0]] + list(reversed(pairs[1:]))
     assert validate(EncodingTable(d=d, pairs=tuple(pairs))).valid
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_cycles_are_valid_tables(d):
+    for seed in range(20):
+        cells = _random_cycle(d, random.Random(seed))
+        assert validate(EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in cells))).valid
+
+
+def test_random_cycles_reach_every_d3_table():
+    rng, rows = random.Random(0), {tuple(row) for row in _all_cycles(3).tolist()}
+    seen = set()
+    for _ in range(20_000):
+        seen.add(tuple(_random_cycle(3, rng)))
+        if len(seen) == len(rows):
+            break
+    assert seen == rows
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_all_cycles_are_every_valid_table_in_order(d):
+    # the arrays the depth-first search gave before it pruned, as the brute-force enumeration lists them
+    from test_acceptance import _single_distance_tables
+
+    expected = sorted([a * d + b for a, b in pairs] for pairs in _single_distance_tables(d))
+    assert _all_cycles(d).tolist() == expected

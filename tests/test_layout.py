@@ -7,7 +7,9 @@ definition.  So must every public method and property of a public class, as
 an attribute: a bare name of the same spelling, such as a local variable, is
 not a use of the method.  Builders that serve only as test oracles belong in
 ``tests/reference.py``.  No operator in ``src/`` is embedded densely as
-``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.  A
+``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.  No
+file in ``src/`` mentions ``numpy.random``: importing it costs about 5 MiB
+and 15-20 ms, and the stdlib ``random`` serves every seeded draw.  A
 dataclass in ``src/`` is a record that checks its inputs in
 ``__post_init__``; a record that checks nothing is a ``NamedTuple``.
 """
@@ -101,6 +103,16 @@ def test_no_dense_identity_embedding():
         if _is_call(node, "kron") and any(_is_call(arg, "eye") for arg in node.args)
     ]
     assert embeddings == [], f"kron with an identity factor, use qcore.apply: {embeddings}"
+
+
+def test_no_numpy_random():
+    mentions = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "numpy.random" in line or "np.random" in line
+    ]
+    assert mentions == [], f"numpy.random in src/, use the stdlib random: {mentions}"
 
 
 def _is_dataclass_decorator(node: ast.AST) -> bool:
