@@ -480,8 +480,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_negative_numbers_as_values(argv))
     try:
         # one message naming --seed on both seeded paths: reproduce-all reaches the Kay scan's own
-        # seed check only after writing the other artifacts, and qracse --table search would
-        # otherwise report numpy's SeedSequence error
+        # seed check only after writing the other artifacts, and search_tables' own check does not
+        # name the option
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -8,10 +8,10 @@ takes the first k-1 elements to be transposed Bell projectors B_i^T and
 the last to be the transposed complement.  The transpose lands on the POVM
 elements, not the state: it is exactly what the double use of the identity
 (X (x) 1)|psi+> = (1 (x) X^T)|psi+> produces when the measurement is pulled
-through both entangled pairs.  No POVM is built: the simulation below
-computes every Bell outcome's overlaps once per d and takes the
-complement's term from Bell completeness, sum_i B_i = 1, checked once per
-frame; k/d^2 is its check.
+through both entangled pairs.  No POVM or projector is built: the simulation
+below reads every Bell outcome's overlaps, once per d, off the d x d Bell
+vectors of the rank-one B_i, and takes the complement's term from Bell
+completeness, checked once per frame; k/d^2 is its check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .qcore import PSD_TOL, apply, bell_state, expectation, f_from_F, fraction_json
+from .qcore import bell_state, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
@@ -75,38 +75,53 @@ def _weyl(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _bell_projector(d: int, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(1 (x) w)|psi+><psi+| (1 (x) w)^dagger, with psi the amplitudes of |psi+>."""
-    ket = apply(w, (1,), psi, (d, d))
-    return np.outer(ket, ket.conj())
-
-
 class _BellFrame(NamedTuple):
     """The numbers of the protocol that do not depend on k, indexed by the
     outcome label i = a d + b, on the four sites A' A At B of
-    psi+_A'A (x) psi+_AtB: d^4 + d^2 floats.  The d^2 dense Bell projectors
-    they are read from live only while the frame is built, which checks
-    the transposes B_i^T positive semidefinite and the B_i complete."""
+    psi+_A'A (x) psi+_AtB: d^4 + d^2 floats."""
 
     overlaps: tuple[tuple[float, ...], ...]  # Q[i][g] = <s| (B_g)_A'B (B_i^T)_AAt |s>
     probabilities: tuple[float, ...]  # <s| (B_i^T)_AAt |s>
 
 
+def _product_sum(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the (negative) ``axis`` of the complex products a b, for
+    broadcastable arrays holding real and imaginary parts along axis 0: real
+    products and one numpy sum over a fixed axis, so no BLAS kernel or fused
+    complex multiply touches the bits."""
+    (ar, ai), (br, bi) = a, b
+    return np.stack([(ar * br - ai * bi).sum(axis=axis), (ar * bi + ai * br).sum(axis=axis)])
+
+
 @lru_cache(maxsize=None)
 def _bell_frame(d: int) -> _BellFrame:
-    psi = bell_state(d)
-    # B_i, which is also the target pulled back through U_i
-    projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
-    if np.any(np.linalg.eigvalsh(0.5 * (projectors.transpose(0, 2, 1) + projectors.conj()))[:, 0] < PSD_TOL):
-        raise ValueError("POVM element is not positive semidefinite")
-    if np.max(np.abs(projectors.sum(axis=0) - np.eye(d * d))) > POVM_SUM_TOL:
+    return _pair_frame(d, bell_state(d))
+
+
+def _pair_frame(d: int, psi: np.ndarray) -> _BellFrame:
+    """The frame on psi_A'A (x) psi_AtB, with psi the d^2 amplitudes of a pair.
+
+    The Bell vector (1 (x) W_i)|psi+> is the d x d matrix beta_i = W_i^T/sqrt(d),
+    and B_i^T = |conj(beta_i)><conj(beta_i)|.  Contracting <conj(beta_i)|
+    with A and At leaves the (A', B) branch R_i = phi beta_i phi, with phi
+    the pair's amplitude matrix, so prob[i] = ||R_i||^2 and
+    Q[i][g] = |<beta_g|R_i>|^2.  Bell completeness is checked once as
+    max |<beta_g|beta_i> - delta_gi| <= POVM_SUM_TOL: d^2 orthonormal
+    vectors in d^2 dimensions are complete, and each |beta><beta| is
+    positive semidefinite by construction, so this one Gram check is
+    stronger than a sum and an eigenvalue test of the projectors."""
+    w = np.array([_weyl(d, a, b).T for a, b in _weyl_labels(d)]) / np.sqrt(d)
+    beta = np.stack([w.real, w.imag])  # beta_i at [:, i]
+    kets = beta.reshape(2, d * d, 1, d * d)  # flattened beta_i at [:, i, 0]
+    bras = np.stack([kets[0], -kets[1]]).swapaxes(1, 2)  # conj(beta_g) at [:, 0, g]
+    gram = _product_sum(bras, kets, -1)
+    if np.max(np.hypot(gram[0] - np.eye(d * d), gram[1])) > POVM_SUM_TOL:
         raise ValueError("Bell projectors do not sum to the identity")
-    state = np.kron(psi, psi)
-    dims = [d] * 4
-    branches = [apply(p.T, (1, 2), state, dims) for p in projectors]
-    targets = [apply(p, (0, 3), state, dims) for p in projectors]
-    overlaps = tuple(tuple(float(np.vdot(t, b).real) for t in targets) for b in branches)
-    return _BellFrame(overlaps, tuple(float(np.vdot(state, b).real) for b in branches))
+    phi = np.stack([psi.real, psi.imag]).reshape(2, d, d)
+    branches = _product_sum(_product_sum(phi[..., None], beta[:, :, None], -2)[..., None], phi, -2)
+    overlaps = (_product_sum(bras, branches.reshape(kets.shape), -1) ** 2).sum(axis=0)
+    probabilities = (branches**2).sum(axis=0).reshape(d * d, -1).sum(axis=-1)
+    return _BellFrame(tuple(map(tuple, overlaps.tolist())), tuple(probabilities.tolist()))
 
 
 def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
@@ -119,12 +134,12 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     POVM element, so tracing out A and At leaves the matrix element
     <s| (U^dagger T U)_A'B (x) M_AAt |s>, with T = |psi+><psi+|.  These
     elements for every Bell outcome and correction form the frame's overlap
-    matrix Q, simulated once per d: Q[i][i] for each Bell outcome i < k-1,
-    and for the complement, which equals the sum of the remaining B_i^T by
-    Bell completeness, the column sum of Q[i][k-1] over i >= k-1.  The
-    frame holds d^2 dense d^2 x d^2 projectors while it is built, so the
-    dimension is capped at 8.  Every call returns a fresh result; the exact
-    value k/d^2 is reported alongside.
+    matrix Q, computed once per d from d x d Bell vectors: Q[i][i] for each
+    Bell outcome i < k-1, and for the complement, which equals the sum of
+    the remaining B_i^T by Bell completeness, the column sum of Q[i][k-1]
+    over i >= k-1.  The frame's overlap step holds d^6 real products at
+    once, so the dimension is capped at 8.  Every call returns a fresh
+    result; the exact value k/d^2 is reported alongside.
     """
     if not 2 <= d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
@@ -174,7 +189,8 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     f1 = constrained_teleport_fidelity(d, d * d).entanglement_fidelity_F
-    f2 = expectation(np.eye(d * d) / (d * d), (0, 1), bell_state(d), (d, d)).real
+    psi = bell_state(d)
+    f2 = float((psi.real**2 + psi.imag**2).sum()) / (d * d)  # <psi+| 1/d^2 |psi+>
     simulated = 0.5 * (f1 + f2)
     exact = Fraction(1, 2) * (1 + Fraction(1, d * d))
     return StrategyResult(
@@ -198,9 +214,9 @@ def composite_nsqrac_via_qracse(d: int) -> StrategyResult:
     correction fidelity is |tr(W_g W_i^dagger)/d|^2, which is 1 when g = i
     and 0 otherwise, so the success equals the decoder's average success.
 
-    The teleportation layer is also simulated with Bell projectors and
-    corrections on the state vector, one 4-site block per teleported qudit;
-    both paths must agree to 1e-9, or RuntimeError is raised.
+    The teleportation layer is also simulated from the Bell frame's
+    overlaps and outcome probabilities, one 4-site block per teleported
+    qudit; both paths must agree to 1e-9, or RuntimeError is raised.
     """
     if d != 2:
         raise ValueError("the composite strategy is implemented for d=2")
@@ -210,10 +226,11 @@ def composite_nsqrac_via_qracse(d: int) -> StrategyResult:
     full = _composite_full_state_fidelity(d)
     if abs(full - F) > 1e-9:
         raise RuntimeError(f"full-state simulation disagrees: {full!r} vs {F!r}")
+    q = _bell_frame(d).overlaps  # on psi+, d^2 Q[i][g] = |tr(W_g^dagger W_i)/d|^2
     details = {
         "d": d,
         "per_choice": report.per_choice,
-        "max_wrong_correction_fidelity": _max_wrong_correction_overlap(d),
+        "max_wrong_correction_fidelity": d * d * max(q[i][g] for i in range(d * d) for g in range(d * d) if i != g),
         "value_matching_published_0_728": "entanglement_fidelity_F",
         "full_state_simulation": full,
     }
@@ -226,18 +243,8 @@ def composite_nsqrac_via_qracse(d: int) -> StrategyResult:
     )
 
 
-def _max_wrong_correction_overlap(d: int) -> float:
-    weyls = [_weyl(d, a, b) for a, b in _weyl_labels(d)]
-    worst = 0.0
-    for i, wi in enumerate(weyls):
-        for j, wj in enumerate(weyls):
-            if i != j:
-                worst = max(worst, abs(np.trace(wi @ wj.conj().T) / d) ** 2)
-    return worst
-
-
 def _composite_full_state_fidelity(d: int) -> float:
-    """Explicit teleportation layer: Bell projectors on Alice's side, decoder
+    """Explicit teleportation layer: Bell outcomes on Alice's side, decoder
     statistics and Weyl corrections.  Each teleported qudit has its own
     4-site block A' A At B, so the 8-site overlap is a product of block
     terms read off the Bell frame: the overlap q[i][g] of the requested

@@ -4,19 +4,20 @@ Generalised Pauli (Weyl) operators with fractional exponents, the Bell
 basis, the ket-level encoding and measurement of the coding protocol, the
 published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
-bit, the composite strategy's teleportation layer on the whole 8-site
-state vector, which the package's 4-site block form must also match bit
-for bit, and the constrained teleportation POVM with its fidelity, the
-complement outcome simulated directly, which the package reads off the
-Bell frame's overlap matrix.  The Bell projectors and the frame state are
-built here from the package's own Weyl operators, projector builder and
-maximally entangled state, so their bits are the frame's.  The package
-never builds any of these: it reads the protocol off two closed-form
-kernels, builds integer Weyl operators exactly, generates its tables,
-builds no POVM and simulates no more than four sites.  These builders take
-the other route, through the Fourier matrix and one ket at a time, so a
-test that compares the two checks the package against code it does not
-share.
+bit, the state-vector primitive :func:`apply` with :func:`expectation`,
+the composite strategy's teleportation layer on the whole 8-site state
+vector, and the constrained teleportation POVM with its fidelity, the
+complement outcome simulated directly.  Both teleportation routes build
+the d^2 dense d^2 x d^2 Bell projectors, from the package's own integer
+Weyl operators and maximally entangled state, and apply them to the state
+vector with BLAS, where the package reads the same numbers off d x d Bell
+vectors with real products and fixed-axis sums.  The package never builds
+any of these: it reads the protocol off two closed-form kernels, builds
+integer Weyl operators exactly, generates its tables, builds no POVM or
+projector and simulates no state vector.  These builders take the other
+route, through the Fourier matrix, dense operators and one ket at a time,
+so a test that compares the two checks the package against code it does
+not share.
 
 The shift and clock matrices act on the computational basis as
 X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>.  Fractional powers are
@@ -28,15 +29,17 @@ X^s X^t = X^(s+t) exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from qracsim.codes import EncodingTable, Pair, builtin_table, validate
-from qracsim.qcore import NORM_TOL, apply, bell_state, ensure_square
+from qracsim.qcore import NORM_TOL, bell_state
 from qracsim.qracse import _inverse_array, _kernel, measurement_exponent
-from qracsim.teleport import _bell_projector, _weyl, _weyl_labels
+from qracsim.teleport import _weyl, _weyl_labels
 
 ExponentLike = int | float | Fraction
 
@@ -53,6 +56,61 @@ PUBLISHED_TABLES: dict[int, tuple[Pair, ...]] = {
         (3, 1), (3, 2), (3, 3), (3, 0),
     ),
 }
+
+
+def ensure_square(m: np.ndarray | Sequence) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+@lru_cache(maxsize=256)
+def _plan(dims: tuple[int, ...], sites: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Contraction plan of :func:`apply`: the axis order that brings ``sites``
+    to the front (in their order), its inverse, the local dimension and the
+    total size."""
+    n = len(dims)
+    if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
+        raise ValueError(f"invalid site list {list(sites)} for {n} subsystems")
+    order = sites + tuple(i for i in range(n) if i not in sites)
+    inverse = tuple(sorted(range(n), key=order.__getitem__))
+    return order, inverse, math.prod(dims[s] for s in sites), math.prod(dims)
+
+
+def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Apply an operator to the given sites of a state vector.
+
+    ``op`` is a matrix on the tensor product of ``dims[s]`` for ``s`` in
+    ``sites`` (in that order) and acts as the identity elsewhere; ``state``
+    has ``prod(dims)`` amplitudes.  Returns the new state with the shape of
+    ``state``.  Only the operator's sites are contracted, so the full
+    operator is never formed: the state's tensor is permuted so that the
+    sites lead, multiplied by ``op`` as an (L, prod(rest)) matrix and
+    permuted back.  These are the operands ``np.tensordot`` would pass to
+    ``np.dot``, so the result is the same to the bit.
+    """
+    op = ensure_square(op)
+    dims = tuple(dims)
+    sites = tuple(sites)
+    order, inverse, local, total = _plan(dims, sites)
+    if op.shape[0] != local:
+        raise ValueError(f"operator dim {op.shape[0]} does not match sites {list(sites)}")
+    state = np.asarray(state, dtype=complex)
+    if state.size != total:
+        raise ValueError(f"state of size {state.size} does not match subsystem dims {list(dims)}")
+    tensor = state.reshape(dims).transpose(order)
+    out = np.dot(op, tensor.reshape(local, -1))
+    return out.reshape(tensor.shape).transpose(inverse).reshape(state.shape)
+
+
+def expectation(op: np.ndarray, sites: Sequence[int], state: np.ndarray, dims: Sequence[int]) -> complex:
+    """Expectation value <state| op |state> with ``op`` on the given sites."""
+    return complex(np.vdot(state, apply(op, sites, state, dims)))
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:
@@ -196,11 +254,12 @@ def two_string_values_accumulate(invs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=None)
 def bell_projectors(d: int) -> np.ndarray:
-    """The d^2 Bell projectors B_i, stacked in label order i = a d + b, built
-    as ``teleport._bell_frame`` builds them.  Built once per d; the returned
-    array is shared and read-only."""
+    """The d^2 Bell projectors B_i = (1 (x) W_i)|psi+><psi+|(1 (x) W_i)^dagger,
+    dense d^2 x d^2 matrices stacked in label order i = a d + b.  Built once
+    per d; the returned array is shared and read-only."""
     psi = bell_state(d)
-    projectors = np.array([_bell_projector(d, _weyl(d, a, b), psi) for a, b in _weyl_labels(d)])
+    kets = [apply(_weyl(d, a, b), (1,), psi, (d, d)) for a, b in _weyl_labels(d)]
+    projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
     projectors.setflags(write=False)
     return projectors
 

@@ -23,8 +23,8 @@ from qracsim.bounds import (
     werner_fidelity,
 )
 from qracsim import bounds
-from qracsim.qcore import bell_state, expectation
-from reference import weyl
+from qracsim.qcore import bell_state
+from reference import expectation, weyl
 
 
 class TestWernerFidelity:
@@ -282,7 +282,7 @@ class TestMonogamyScan:
     def test_every_residual_matches_per_state_oracle(self, seed, monkeypatch):
         # independent route: each state's 16 uniforms in the documented order,
         # Box-Muller by log1p and cmath.rect, and each marginal entry
-        # rho[i, j] = <psi|(|j><i|)_{A_k C}|psi> by qcore.expectation
+        # rho[i, j] = <psi|(|j><i|)_{A_k C}|psi> by reference.expectation
         n_states = 60
         uniform = random.Random(seed).random
         units = np.eye(4)

@@ -1,17 +1,18 @@
 """Layout guard: the package carries no code that only the tests use, and
-simulates on the state vector only.
+embeds no operator densely.
 
 Every public top-level name of ``src/qracsim`` must be referenced, as a name
 or an attribute, somewhere in ``src/`` or ``perfbench/`` outside its own
 definition.  So must every public method and property of a public class, as
 an attribute: a bare name of the same spelling, such as a local variable, is
 not a use of the method.  Builders that serve only as test oracles belong in
-``tests/reference.py``.  No operator in ``src/`` is embedded densely as
-``np.kron(np.eye(...), op)``; ``qcore.apply`` applies it to its sites.  No
-file in ``src/`` mentions ``numpy.random``: importing it costs about 5 MiB
-and 15-20 ms, and the stdlib ``random`` serves every seeded draw.  A
-dataclass in ``src/`` is a record that checks its inputs in
-``__post_init__``; a record that checks nothing is a ``NamedTuple``.
+``tests/reference.py``, as the state-vector primitive ``reference.apply`` and
+the dense Bell projectors do.  No operator in ``src/`` is embedded densely as
+``np.kron(np.eye(...), op)``; it is contracted with its own sites.  No file
+in ``src/`` mentions ``numpy.random``: importing it costs about 5 MiB and
+15-20 ms, and the stdlib ``random`` serves every seeded draw.  A dataclass in
+``src/`` is a record that checks its inputs in ``__post_init__``; a record
+that checks nothing is a ``NamedTuple``.
 """
 
 import ast
@@ -102,7 +103,7 @@ def test_no_dense_identity_embedding():
         for node in ast.walk(ast.parse(path.read_text()))
         if _is_call(node, "kron") and any(_is_call(arg, "eye") for arg in node.args)
     ]
-    assert embeddings == [], f"kron with an identity factor, use qcore.apply: {embeddings}"
+    assert embeddings == [], f"kron with an identity factor, contract the operator with its own sites: {embeddings}"
 
 
 def test_no_numpy_random():

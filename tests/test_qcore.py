@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from qracsim.qcore import (
     NORM_TOL,
     F_from_f,
-    apply,
     bell_state,
-    expectation,
     f_from_F,
 )
-from reference import states_equal
+from reference import apply, expectation, states_equal
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -29,8 +27,8 @@ def random_density(d, rng):
 
 
 def entanglement_fidelity(rho, d):
-    """<psi+|rho|psi+> for a d x d state, by the state-vector route the
-    program takes: rho as an operator on both sites of |psi+>."""
+    """<psi+|rho|psi+> for a d x d state, by the reference state-vector
+    route: rho as an operator on both sites of |psi+>."""
     return expectation(rho, (0, 1), bell_state(d), (d, d)).real
 
 

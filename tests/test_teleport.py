@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,11 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qracsim import qcore, teleport
+from qracsim import teleport
 from qracsim.teleport import (
     StrategyResult,
     _bell_frame,
     _composite_full_state_fidelity,
+    _pair_frame,
     _weyl,
     composite_nsqrac_via_qracse,
     constrained_teleport_fidelity,
@@ -79,36 +83,28 @@ class TestConstrainedPovm:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_sweep_after_the_frame_builds_and_checks_nothing(self, monkeypatch, fresh_frames, d):
-        # every F reads the frame: no (d, k) applies, builds or checks a POVM element
+        # every F reads the frame: no (d, k) builds a Bell vector, checks the Gram matrix or takes a product
         _bell_frame(d)
         calls = []
 
-        def counting(name, function):
+        def counting(name):
+            function = getattr(teleport, name)
+
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return function(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(qcore, "apply", counting("apply", qcore.apply))
-        monkeypatch.setattr(teleport, "apply", counting("apply", qcore.apply))
+        for name in ("_weyl", "_pair_frame", "_product_sum"):
+            monkeypatch.setattr(teleport, name, counting(name))
         for k in range(1, d * d + 1):
             constrained_teleport_fidelity(d, k)
         assert calls == []
 
-    def test_frame_rejects_a_negative_projector(self, monkeypatch):
-        # the frame's own check is the one the warm calls rely on
-        monkeypatch.setattr(teleport, "_bell_projector", lambda d, w, psi: -np.eye(d * d))
-        _bell_frame.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
-                _bell_frame(2)
-        finally:
-            _bell_frame.cache_clear()
-
     def test_frame_rejects_incomplete_projectors(self, monkeypatch, fresh_frames):
-        # the last projector repeats B_0: each one is positive, but they no longer sum to 1
+        # the last Bell vector repeats beta_0: each |beta><beta| is still a projector, but the
+        # Gram matrix is no longer the identity, so the projectors no longer sum to 1
         weyl_ = teleport._weyl
         monkeypatch.setattr(teleport, "_weyl", lambda d, a, b: weyl_(d, 0, 0) if a == b == d - 1 else weyl_(d, a, b))
         with pytest.raises(ValueError, match="^Bell projectors do not sum to the identity$"):
@@ -173,15 +169,13 @@ class TestOverlapMatrix:
             assert abs(fidelity - complement_route_fidelity(d, k)) <= 4.4e-16
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_column_sum_matches_complement_route_on_a_generic_state(self, monkeypatch, fresh_frames, d):
+    def test_column_sum_matches_complement_route_on_a_generic_state(self, monkeypatch, d):
         # on psi+ (x) psi+ every wrong-correction overlap Q[i][g], i != g, vanishes, so
         # only a generic frame state tells the complement's column sum from its diagonal
         rng = np.random.default_rng(d)
         generic = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         psi = generic / np.linalg.norm(generic)
-        projector = teleport._bell_projector
-        monkeypatch.setattr(teleport, "bell_state", lambda _: psi)
-        monkeypatch.setattr(teleport, "_bell_projector", lambda _, w, _psi: projector(d, w, qcore.bell_state(d)))
+        monkeypatch.setattr(teleport, "_bell_frame", lambda _: _pair_frame(d, psi))
         # off psi+ F is no longer k/d^2, so the result's f = (d F + 1)/(d + 1) check cannot hold
         monkeypatch.setattr(teleport, "StrategyResult", SimpleNamespace)
         for k in range(1, d * d + 1):
@@ -189,21 +183,20 @@ class TestOverlapMatrix:
             assert abs(fidelity - complement_route_fidelity(d, k, psi)) <= 4.4e-16
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_frame_and_sweep_simulate_3d2_applies(self, monkeypatch, fresh_frames, d):
-        # d^2 projectors, d^2 branches and d^2 targets; no (d, k) simulates on its own
+    def test_frame_and_sweep_build_d2_weyl_operators(self, monkeypatch, fresh_frames, d):
+        # one Bell vector per outcome, built once per d; no (d, k) builds one on its own
         calls = []
-        apply = qcore.apply
+        weyl_ = teleport._weyl
 
         def counting(*args):
-            calls.append(args[1])
-            return apply(*args)
+            calls.append(args[1:])
+            return weyl_(*args)
 
-        monkeypatch.setattr(qcore, "apply", counting)
-        monkeypatch.setattr(teleport, "apply", counting)
+        monkeypatch.setattr(teleport, "_weyl", counting)
         _bell_frame(d)
         for k in range(1, d * d + 1):
             constrained_teleport_fidelity(d, k)
-        assert len(calls) == 3 * d * d
+        assert calls == [(a, b) for a in range(d) for b in range(d)]
 
 
 # repr of entanglement_fidelity_F for every (d, k) with d = 2..5, the favored
@@ -240,6 +233,58 @@ def test_fidelity_is_within_rounding_of_exact(case):
         "split": Fraction(1, 2),
     }[case["strategy"]]
     assert abs(Fraction(_golden_fidelity(case)) - exact) <= 1.2e-15
+
+
+# the teleport layer's bytes, one line each: the repr of every golden F, every favored and
+# split result for d = 2..4 and k' = 0..d^2, the composite result and a digest of each Bell frame
+_TELEPORT_BYTES = """
+import hashlib, json, sys
+from qracsim import teleport as t
+for case in json.loads(open(sys.argv[1]).read()):
+    if case["strategy"] == "constrained":
+        result = t.constrained_teleport_fidelity(case["d"], case["k"])
+    elif case["strategy"] == "favored":
+        result = t.nsqrac_favored_strategy(case["d"])
+    else:
+        result = t.nsqrac_split_strategy(case["d"], case["k_prime"])
+    print(repr(result.entanglement_fidelity_F))
+for d in range(2, 5):
+    results = [t.nsqrac_favored_strategy(d)] + [t.nsqrac_split_strategy(d, k) for k in range(d * d + 1)]
+    for result in results:
+        print(json.dumps(result.to_json_dict(), sort_keys=True))
+print(json.dumps(t.composite_nsqrac_via_qracse(2).to_json_dict(), sort_keys=True))
+for d in range(2, 9):
+    print(d, hashlib.sha256(repr(t._bell_frame(d)).encode()).hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_kernel_or_simd_dispatch(child_env):
+    # the frame takes real products and fixed-axis sums only, so neither OpenBLAS's kernel nor
+    # numpy's dispatched SIMD loops (which fuse a complex product into an FMA) may move a bit
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 only prints its build configuration
+        blas = {}
+    settings = [{}, {"NPY_DISABLE_CPU_FEATURES": " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))}]
+    if "DYNAMIC_ARCH" in blas.get("openblas configuration", ""):
+        settings += [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Sandybridge", "Prescott")]
+    else:
+        warnings.warn(f"{blas.get('name')} is not a DYNAMIC_ARCH OpenBLAS: only one BLAS kernel was compared")
+    argv = [sys.executable, "-c", _TELEPORT_BYTES, str(Path(__file__).parent / "golden_teleport.json")]
+    outputs = {}
+    for extra in settings:
+        run = subprocess.run(argv, env={**child_env, **extra}, check=True, capture_output=True, text=True)
+        outputs[" ".join(f"{k}={v}" for k, v in extra.items()) or "default"] = run.stdout.splitlines()
+    default = outputs.pop("default")
+    assert len(default) == len(GOLDEN_TELEPORT) + sum(d * d + 2 for d in range(2, 5)) + 1 + 7
+    assert default[: len(GOLDEN_TELEPORT)] == [case["F"] for case in GOLDEN_TELEPORT]
+    differ = {label: sum(a != b for a, b in zip(default, lines)) for label, lines in outputs.items() if lines != default}
+    assert differ == {}, f"lines that differ from the default child's, of {len(default)}: {differ}"
 
 
 class TestExactWeyl:
@@ -313,11 +358,11 @@ class TestCompositeStrategy:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_block_cross_check_equals_full_state_oracle(self, d):
-        # the 4-site block form against the 8-site state vector, bit for bit
-        assert _composite_full_state_fidelity(d) == composite_full_state_fidelity(d)
+        # the frame's 4-site block form against dense projectors applied to the 8-site state vector
+        assert abs(_composite_full_state_fidelity(d) - composite_full_state_fidelity(d)) <= 4.4e-16
 
     def test_block_cross_check_value(self):
-        assert _composite_full_state_fidelity(2) == 0.7285533905932728
+        assert _composite_full_state_fidelity(2) == 0.728553390593273
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
