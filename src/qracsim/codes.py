@@ -240,11 +240,12 @@ def search_tables(
     The rotations come from the table's rotation orbit, the reversals from
     the move table of ``_climb_moves``.
 
-    Restarts climb in rounds of up to 32, and the tables each climb walks
-    through are counted against the budget in start order.  A climb scores
-    the rotation orbit of each table it reaches once, and the result is the
-    same as climbing the restarts one at a time, scoring each move list
-    afresh: every table's score is exact and independent of its batch.
+    Restarts climb in rounds of up to 32.  Once every climb of a round has
+    stopped, the tables each one walked through are counted against the
+    budget in start order.  A climb scores the rotation orbit of each table
+    it reaches, and the result is the same as climbing the restarts one at
+    a time, every table scored alone: each table's score is exact and
+    independent of its batch.
     Deterministic for a fixed seed, which must be a non-negative integer;
     ties break to the lexicographically smallest pair sequence.  ``p_min``
     is the square of the smallest line mean of ``qracse._line_means``.
@@ -290,50 +291,33 @@ def search_tables(
         count(zip(keys(cycles), score(cycles).tolist()))
 
     def climb_round(size: int) -> None:
-        """Climb ``size`` fresh restarts in lockstep, counting each climb's
-        tables once every earlier climb is counted, until the budget runs out.
-        One batch scores the rotation orbits of the tables the climbs reach (a
-        start or an accepted reversal, whose own score the reversal batch
-        gave); rotating the orbit's table at offset p by r gives the one at
-        (p + r) mod n, so the rotation steps need no more scores.  Then one
-        batch scores every moving climb's reversals."""
+        """Climb ``size`` fresh restarts in lockstep until each stops, then
+        count the tables each climb walked through, in start order.  One batch
+        scores the rotation orbits of the tables the climbs reach (a start or
+        an accepted reversal); rotating the orbit's table at offset p by r
+        gives the one at (p + r) mod n, so the rotation steps need no more
+        scores.  Then one batch scores every moving climb's reversals."""
         tables = np.array([_random_cycle(d, rng) for _ in range(size)], dtype=np.intp)
         walked = [[] for _ in range(size)]
         active = np.arange(size)  # climbs still moving, in start order
-        head = 0  # the first climb not yet fully counted
-        known, reached = 0, ([], [])  # 1 once the tables are accepted reversals, with their keys and scores
-        while True:
-            if len(active):
-                m = n - known  # rotations to score per table
-                rows = tables[:, orbits[known:]].reshape(-1, n)
-                row_keys, row_values = keys(rows), score(rows).tolist()
-                offsets, beats = [], []
-                for i, climb in enumerate(active.tolist()):
-                    ks = (reached[0][i : i + known] + row_keys[i * m : (i + 1) * m]) * 2
-                    vs = (reached[1][i : i + known] + row_values[i * m : (i + 1) * m]) * 2
-                    if not known:
-                        walked[climb].append((ks[0], vs[0]))
-                    p = 0
-                    while True:  # the first rotation that improves, until none does
-                        beat = vs[p] + 1e-12
-                        r = next((r for r in range(p + 1, p + n) if vs[r] > beat), p + n - 1)
-                        walked[climb].extend(zip(ks[p + 1 : r + 1], vs[p + 1 : r + 1]))
-                        if vs[r] <= beat:
-                            break
-                        p = r % n
-                    offsets.append(p)
-                    beats.append(vs[p])
-                current = tables[np.arange(len(offsets))[:, None], orbits[offsets]]
-            while head < size:
-                count(walked[head])
-                if len(evaluated) == budget:
-                    return
-                walked[head] = []
-                if len(active) and active[0] == head:
-                    break
-                head += 1
-            else:
-                return
+        while len(active):
+            rows = tables[:, orbits].reshape(-1, n)
+            row_keys, row_values = keys(rows), score(rows).tolist()
+            offsets, beats = [], []
+            for i, climb in enumerate(active.tolist()):
+                ks, vs = row_keys[i * n : (i + 1) * n] * 2, row_values[i * n : (i + 1) * n] * 2
+                walked[climb].append((ks[0], vs[0]))
+                p = 0
+                while True:  # the first rotation that improves, until none does
+                    beat = vs[p] + 1e-12
+                    r = next((r for r in range(p + 1, p + n) if vs[r] > beat), p + n - 1)
+                    walked[climb].extend(zip(ks[p + 1 : r + 1], vs[p + 1 : r + 1]))
+                    if vs[r] <= beat:
+                        break
+                    p = r % n
+                offsets.append(p)
+                beats.append(vs[p])
+            current = tables[np.arange(len(offsets))[:, None], orbits[offsets]]
             joined = current[:, joins]
             owner, move = np.nonzero(one_step[joined[..., 0], joined[..., 1]].all(axis=2))
             rows = current[owner[:, None], reversals[move]]  # each climb's legal reversals, one after another
@@ -347,9 +331,9 @@ def search_tables(
             row_keys, row_values = keys(rows), values.tolist()
             for climb, lo, hi in zip(active.tolist(), starts.tolist(), np.minimum(accepted + 1, ends).tolist()):
                 walked[climb].extend(zip(row_keys[lo:hi], row_values[lo:hi]))
-            picked = accepted[moved].tolist()
-            active, tables, known = active[moved], rows[picked], 1
-            reached = [row_keys[a] for a in picked], [row_values[a] for a in picked]
+            active, tables = active[moved], rows[accepted[moved]]
+        for tables_walked in walked:
+            count(tables_walked)
 
     def cells(pairs: tuple[Pair, ...]) -> np.ndarray:
         return np.array([[a * d + b for a, b in pairs]], dtype=np.intp)

@@ -29,14 +29,26 @@ X^s X^t = X^(s+t) exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from qracsim.codes import EncodingTable, Pair, builtin_table, validate
+import qracsim.qracse
+from qracsim.codes import (
+    EncodingTable,
+    Pair,
+    SearchResult,
+    _climb_moves,
+    _random_cycle,
+    builtin_table,
+    generate_single_distance,
+    validate,
+)
 from qracsim.qcore import NORM_TOL, bell_state
 from qracsim.qracse import _inverse_array, _kernel, measurement_exponent
 from qracsim.teleport import _weyl, _weyl_labels
@@ -250,6 +262,55 @@ def two_string_values_accumulate(invs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     per_string = r[..., :, None] * r[..., None, :]
     per_choice = (np.add.accumulate(r, axis=-1)[..., -1] / d) ** 2
     return per_string, per_choice
+
+
+def sequential_search(d: int, objective: str, budget: int, seed: int) -> SearchResult:
+    """``codes.search_tables`` past its exhaustive cases, climbed one restart
+    at a time.  Every table is scored alone through ``qracse._line_means``.
+    Each step tries the current table's rotations by 1..n-1, then its
+    reversals in ``_climb_moves`` order that keep every cyclic step one digit
+    long, and takes the first that beats it by 1e-12.  Tables count against
+    the budget in the order the walk meets them; tables met before are free."""
+    n = d * d
+    orders = [row.tolist() for row in _climb_moves(d)[0]]
+    evaluated: dict[tuple[int, ...], float] = {}
+
+    def visit(cycle: tuple[int, ...]) -> float | None:
+        """The table's score, or None if it would count past the budget."""
+        if cycle not in evaluated:
+            if len(evaluated) == budget:
+                return None
+            inv = np.empty(n, dtype=np.intp)
+            inv[list(cycle)] = np.arange(n)
+            r0, r1 = qracsim.qracse._line_means(inv.reshape(1, d, d))[0].tolist()
+            low, c0, c1 = min(r0 + r1), sum(r0) / d, sum(r1) / d
+            evaluated[cycle] = low * low if objective == "p_min" else (c0 * c0 + c1 * c1) / 2
+        return evaluated[cycle]
+
+    def legal(cycle: tuple[int, ...]) -> bool:
+        return all((p // d != q // d) + (p % d != q % d) == 1 for p, q in zip(cycle, cycle[1:] + cycle[:1]))
+
+    def climb(current: tuple[int, ...]) -> None:
+        """Climb from ``current`` until no move improves or the budget runs out."""
+        value = visit(current)
+        while value is not None:
+            rotations = (current[r:] + current[:r] for r in range(1, n))
+            reversals = (move for move in (tuple(current[k] for k in order) for order in orders) if legal(move))
+            for move in itertools.chain(rotations, reversals):
+                moved = visit(move)
+                if moved is None or moved > value + 1e-12:
+                    current, value = move, moved
+                    break
+            else:
+                return
+
+    visit(tuple(a * d + b for a, b in generate_single_distance(d).pairs))  # counted, never climbed
+    rng = random.Random(seed)
+    while len(evaluated) < budget:
+        climb(tuple(_random_cycle(d, rng)))
+    top = max(evaluated.values())
+    best = min(cycle for cycle, value in evaluated.items() if value == top)
+    return SearchResult(EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in best)), top, len(evaluated))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from qracsim.codes import (
     validate,
 )
 from qracsim.qracse import QracTask, run_protocol
-from reference import PUBLISHED_TABLES
+from reference import PUBLISHED_TABLES, sequential_search
 
 
 def digit_changes(p, q):
@@ -220,7 +220,7 @@ def test_search_scores_bounded_batches(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_search_scores_each_table_about_once(seed, monkeypatch):
-    # a climb scores the rotation orbit of each table it reaches once and takes
+    # a climb scores the rotation orbit of each table it reaches and takes
     # its rotation steps from those scores, so the rows scored stay within 1.25
     # times the budget
     rows = []
@@ -295,6 +295,18 @@ def test_search_result_does_not_depend_on_round_size(d, objective, budget, seed,
         result = search_tables(d, objective, budget, seed)
         results[size] = (result.table, result.score, result.evaluations)
     assert results[16] == results[1] and results[32] == results[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("budget", [37, 333])
+@pytest.mark.parametrize("objective", ["p_min", "p_avg"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("scorer", sorted(HASH_MODULI))
+def test_search_matches_sequential_oracle(scorer, d, objective, budget, seed, monkeypatch):
+    # lockstep rounds, orbit scores and round-end counting give what one
+    # restart at a time gives, every table scored alone
+    monkeypatch.setattr(qracsim.qracse, "_line_means", hash_scorer(HASH_MODULI[scorer]))
+    assert search_tables(d, objective, budget, seed) == sequential_search(d, objective, budget, seed)
 
 
 @settings(max_examples=30, deadline=None)
