@@ -327,6 +327,23 @@ def test_random_cycles_are_valid_tables(d):
         assert validate(EncodingTable(d=d, pairs=tuple(divmod(c, d) for c in cells))).valid
 
 
+def test_random_cycle_draws_stay_bounded_at_d5():
+    # without a limit one of these draws tries 2.8 M neighbours; a draw gives up
+    # after _DRAW_TRIES * d^4 tried neighbours and starts again from a fresh cell
+    class Counting(random.Random):
+        calls = 0
+
+        def randrange(self, *args):
+            self.calls += 1
+            return super().randrange(*args)
+
+    rng = Counting(0)
+    for _ in range(60):
+        cells = _random_cycle(5, rng)
+        assert validate(EncodingTable(d=5, pairs=tuple(divmod(c, 5) for c in cells))).valid
+    assert rng.calls < 100_000
+
+
 def test_random_cycles_reach_every_d3_table():
     rng, rows = random.Random(0), {tuple(row) for row in _all_cycles(3).tolist()}
     seen = set()

@@ -274,8 +274,8 @@ def generated_cells(d):
 def walked_tables(d, count):
     """``count`` valid tables met by a seeded random walk from the generated
     table, each step a random legal climb move.  Cheaper than drawing
-    ``_random_cycle`` at d = 5: most draws take a fraction of a millisecond,
-    but 40 draws from ``random.Random(5)`` averaged 28 ms, one of them 1.1 s."""
+    ``_random_cycle`` at d = 5: 40 draws from ``random.Random(5)`` averaged
+    0.6 ms, the slowest, which gave up and started again, about 10 ms."""
     rng = np.random.default_rng(d)
     cells, tables = generated_cells(d), []
     for _ in range(count):
