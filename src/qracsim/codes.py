@@ -267,7 +267,7 @@ def search_tables(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if objective not in ("p_min", "p_avg"):
         raise ValueError(f"unknown objective {objective!r}")
-    if budget < 1:
+    if not isinstance(budget, int) or budget < 1:  # len(evaluated) would never equal 1.5
         raise ValueError("budget must be a positive number of evaluations")
     if not 2 <= d <= 5:
         raise ValueError("supported dimensions are 2 <= d <= 5")

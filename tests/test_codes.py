@@ -161,6 +161,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tables(2, "p_min", budget=0, seed=0)
 
+    def test_fractional_budget_rejected(self):
+        # the budget counts evaluations; 1.5 would never be reached exactly
+        with pytest.raises(ValueError, match="^budget must be a positive number of evaluations$"):
+            search_tables(4, "p_min", budget=1.5, seed=0)
+
     def test_large_dimension_rejected(self):
         with pytest.raises(ValueError):
             search_tables(6, "p_min", budget=5, seed=0)
