@@ -223,11 +223,11 @@ def _climb_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reversals, joins, one_step
 
 
-# Restarts climbing at once in one round of the search; their new orbits, and
+# Restarts climbing at once in one round of the search; their orbits, and
 # then their legal reversals, share one batch, so this caps a batch's rows and
 # with them the search's peak memory.  Peak RSS of a process that imports the
 # package and runs search_tables(4, "p_min", 10000, 1), median of 8 runs (numpy
-# 2.4.6, x86-64): 32.67 MiB at 16, 32.67 MiB at 32, 33.08 MiB at 64.
+# 2.4.6, x86-64): 31.03 MiB at 16, 31.22 MiB at 32, 31.59 MiB at 64.
 _ROUND_CLIMBS = 32
 
 
@@ -267,7 +267,7 @@ def search_tables(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if objective not in ("p_min", "p_avg"):
         raise ValueError(f"unknown objective {objective!r}")
-    if not isinstance(budget, int) or budget < 1:  # len(evaluated) would never equal 1.5
+    if not isinstance(budget, int) or budget < 1:  # a fractional budget is never reached exactly
         raise ValueError("budget must be a positive number of evaluations")
     if not 2 <= d <= 5:
         raise ValueError("supported dimensions are 2 <= d <= 5")
@@ -314,7 +314,8 @@ def search_tables(
             row_keys, row_values = keys(rows), score(rows).tolist()
             offsets, beats = [], []
             for i, climb in enumerate(active.tolist()):
-                ks, vs = row_keys[i * n : (i + 1) * n] * 2, row_values[i * n : (i + 1) * n] * 2
+                ks = row_keys[i * n : (i + 1) * n] * 2  # the orbit twice, so offsets past n wrap
+                vs = row_values[i * n : (i + 1) * n] * 2
                 walked[climb].append((ks[0], vs[0]))
                 p = 0
                 while True:  # the first rotation that improves, until none does
