@@ -4,10 +4,11 @@ Generalised Pauli (Weyl) operators with fractional exponents, the Bell
 basis, the ket-level encoding and measurement of the coding protocol, the
 published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
-bit, the state-vector primitive :func:`apply` with :func:`expectation`,
-the composite strategy's teleportation layer on the whole 8-site state
-vector, and the constrained teleportation POVM with its fidelity, the
-complement outcome simulated directly.  Both teleportation routes build
+bit, the table search climbed one restart at a time, the state-vector
+primitive :func:`apply` with :func:`expectation`, the composite strategy's
+teleportation layer on the whole 8-site state vector, and the constrained
+teleportation POVM with its fidelity, the complement outcome simulated
+directly.  Both teleportation routes build
 the d^2 dense d^2 x d^2 Bell projectors, from the package's own integer
 Weyl operators and maximally entangled state, and apply them to the state
 vector with BLAS, where the package reads the same numbers off d x d Bell
