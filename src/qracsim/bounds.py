@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, F_from_f
+from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, F_from_f, check_dimension
 
 PROB_SUM_TOL = 1e-12
 KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
@@ -35,21 +35,6 @@ _MAGIC_BASIS = np.array(
 
 
 @dataclass(frozen=True)
-class CloningParams:
-    """N1 input copies cloned to N2 outputs in dimension d."""
-
-    n1: int
-    n2: int
-    d: int
-
-    def __post_init__(self):
-        if not 1 <= self.n1 <= self.n2:
-            raise ValueError(f"need 1 <= n1 <= n2, got n1={self.n1}, n2={self.n2}")
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-
-
-@dataclass(frozen=True)
 class AsymSpec:
     """Receiver dimension and the probabilities with which inputs are requested."""
 
@@ -57,8 +42,7 @@ class AsymSpec:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+        object.__setattr__(self, "d", check_dimension(self.d))
         p = tuple(float(x) for x in self.probabilities)
         if len(p) < 2:
             raise ValueError("need at least two receivers")
@@ -75,16 +59,18 @@ class AsymSpec:
         return len(self.probabilities)
 
 
-def werner_fidelity(params: CloningParams) -> Fraction:
-    """Optimal universal cloning fidelity N1/N2 + (N2-N1)(N1+1)/(N2(N1+d))."""
-    n1, n2, d = params.n1, params.n2, params.d
+def werner_fidelity(n1: int, n2: int, d: int) -> Fraction:
+    """Optimal universal cloning fidelity N1/N2 + (N2-N1)(N1+1)/(N2(N1+d)) of
+    N1 input copies cloned to N2 outputs in dimension d."""
+    if not 1 <= n1 <= n2:
+        raise ValueError(f"need 1 <= n1 <= n2, got n1={n1}, n2={n2}")
+    check_dimension(d)
     return Fraction(n1, n2) + Fraction((n2 - n1) * (n1 + 1), n2 * (n1 + d))
 
 
 def symmetric_bound(d: int, n: int) -> Fraction:
     """Success bound (N + d - 1)/(d N) for N equally likely d-dimensional inputs."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    check_dimension(d)
     if n < 1:
         raise ValueError(f"need at least one receiver, got {n}")
     return Fraction(n + d - 1, d * n)
@@ -92,7 +78,7 @@ def symmetric_bound(d: int, n: int) -> Fraction:
 
 def symmetric_bound_via_cloning(d: int, n: int) -> Fraction:
     """Same bound derived through the cloning fidelity and the f -> F conversion."""
-    f = werner_fidelity(CloningParams(n1=1, n2=n, d=d))
+    f = werner_fidelity(1, n, d)
     return F_from_f(f, d)
 
 
@@ -100,8 +86,7 @@ def kay_constraint_residual(F_values: Sequence[float] | np.ndarray, d: int) -> f
     """Slack of the entanglement-fidelity constraint
     sum F_i <= (d-1)/d + (sum sqrt(F_i))^2 / (N + d - 1); >= 0 means feasible.
     The F_i run along the last axis, so a stack gives one slack per row."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    check_dimension(d)
     fs = np.asarray(F_values, dtype=float)
     if not np.all((fs >= 0) & (fs <= 1 + 1e-12)):  # NaN fails both comparisons
         raise ValueError("fidelities must lie in [0, 1]")
@@ -114,8 +99,7 @@ def asym_closed_form_n2(p: float, d: int) -> float:
     """Two-receiver bound (1 + sqrt(1 + 4 (d^2-1) (p-1) p / d^2)) / 2."""
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    check_dimension(d)
     return float(0.5 * (1 + np.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2)))
 
 
@@ -176,7 +160,6 @@ def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
 class MonogamyScan(NamedTuple):
     min_residual: float
     n_states: int
-    seed: int
     residuals_head: tuple[float, ...]
 
 
@@ -221,6 +204,5 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     return MonogamyScan(
         min_residual=float(residuals.min()),
         n_states=n_states,
-        seed=seed,
         residuals_head=tuple(float(r) for r in residuals[:KAY_SCAN_HEAD]),
     )

@@ -187,7 +187,7 @@ def cmd_bounds(args) -> Output:
 
     if args.kind == "werner":
         label = f"werner_cloning_fidelity(n1={args.n1}, n2={args.n2}, d={args.d})"
-        exact = bounds.werner_fidelity(bounds.CloningParams(n1=args.n1, n2=args.n2, d=args.d))
+        exact = bounds.werner_fidelity(args.n1, args.n2, args.d)
     else:
         label = f"symmetric_bound(d={args.d}, N={args.N})"
         exact = bounds.symmetric_bound(args.d, args.N)
@@ -337,7 +337,7 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
             via = bounds.symmetric_bound_via_cloning(d, n)
             grid[f"d{d}_N{n}"] = _fraction_str(fr)
             checks.append(_check_true(f"symmetric_bound(d={d},N={n})_consistent", fr == via and fr == Fraction(n + d - 1, d * n)))
-    werner = bounds.werner_fidelity(bounds.CloningParams(1, 2, 2))
+    werner = bounds.werner_fidelity(1, 2, 2)
     checks.append(_check_true("werner_1_2_2_is_5_6", werner == Fraction(5, 6)))
     checks.append(_check("asym_closed_form_half_d2", bounds.asym_closed_form_n2(0.5, 2), 0.75, 1e-12))
     write(
@@ -373,7 +373,7 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
             {
                 "min_residual": scan.min_residual,
                 "n_states": scan.n_states,
-                "seed": scan.seed,
+                "seed": seed,
                 "residuals_head": list(scan.residuals_head),
             }
         ),

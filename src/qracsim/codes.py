@@ -17,6 +17,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .qcore import check_dimension
+
 Pair = tuple[int, int]
 
 # dimensions whose tables are published; generate_single_distance builds them
@@ -24,24 +26,23 @@ _PUBLISHED_DIMENSIONS = (2, 3, 4)
 
 
 class TableUnavailableError(LookupError):
-    """No built-in table for this dimension; generate or search instead."""
+    """No built-in table for this dimension."""
 
 
 @dataclass(frozen=True)
 class EncodingTable:
     """Map from encoding index e to digit pair (a0, a1), both digits in 0..d-1.
 
-    The constructor checks shape and digit ranges only; bijectivity and the
-    single-distance property are checked by :func:`validate` so that broken
-    candidate tables can still be inspected.
+    The constructor checks the dimension, the shape and the digit ranges
+    only; :func:`validate` says whether the table is a bijection and single
+    distance, so a broken candidate table can still be built.
     """
 
     d: int
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+        object.__setattr__(self, "d", check_dimension(self.d))
         pairs = tuple((int(a), int(b)) for a, b in self.pairs)
         if len(pairs) != self.d**2:
             raise ValueError(f"table must have d^2 = {self.d ** 2} entries, got {len(pairs)}")
@@ -54,9 +55,6 @@ class EncodingTable:
 class ValidationReport(NamedTuple):
     bijective: bool
     single_distance: bool
-    duplicate_pairs: tuple[Pair, ...]
-    missing_pairs: tuple[Pair, ...]
-    distance_violations: tuple[int, ...]
 
     @property
     def valid(self) -> bool:
@@ -64,31 +62,12 @@ class ValidationReport(NamedTuple):
 
 
 def validate(table: EncodingTable) -> ValidationReport:
-    """Check bijectivity and cyclic single distance, listing violations.
-
-    ``distance_violations`` holds every index e whose step e -> (e+1) mod d^2
-    changes zero digits or both digits.
-    """
-    d = table.d
-    seen: dict[Pair, int] = {}
-    duplicates = []
-    for pair in table.pairs:
-        seen[pair] = seen.get(pair, 0) + 1
-        if seen[pair] == 2:
-            duplicates.append(pair)
-    missing = [(a, b) for a in range(d) for b in range(d) if (a, b) not in seen]
-    violations = []
-    n = len(table.pairs)
-    for e in range(n):
-        p, q = table.pairs[e], table.pairs[(e + 1) % n]
-        if (p[0] != q[0]) + (p[1] != q[1]) != 1:
-            violations.append(e)
+    """Whether the table is a bijection onto the d^2 digit pairs, and whether
+    every step e -> (e+1) mod d^2 changes exactly one digit."""
+    pairs = table.pairs
     return ValidationReport(
-        bijective=not duplicates and not missing,
-        single_distance=not violations,
-        duplicate_pairs=tuple(duplicates),
-        missing_pairs=tuple(missing),
-        distance_violations=tuple(violations),
+        bijective=len(set(pairs)) == len(pairs),  # d^2 in-range pairs, so distinct means all of them
+        single_distance=all((p[0] != q[0]) + (p[1] != q[1]) == 1 for p, q in zip(pairs, pairs[1:] + pairs[:1])),
     )
 
 
@@ -96,9 +75,8 @@ def builtin_table(d: int) -> EncodingTable:
     """The published table for d in {2, 3, 4}, which is the Gray construction
     of :func:`generate_single_distance` at those dimensions."""
     if d not in _PUBLISHED_DIMENSIONS:
-        raise TableUnavailableError(
-            f"no built-in table for d={d}; use generate_single_distance or search_tables"
-        )
+        dims = ", ".join(map(str, _PUBLISHED_DIMENSIONS))
+        raise TableUnavailableError(f"no built-in table for d={d}; built-in tables exist for d = {dims}")
     return generate_single_distance(d)
 
 
@@ -110,8 +88,7 @@ def generate_single_distance(d: int) -> EncodingTable:
     the first digit steps.  For d in {2, 3, 4} these are the published
     tables, entry by entry.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    check_dimension(d)
     pairs = tuple((r, (j - r) % d) for r in range(d) for j in range(d))
     return EncodingTable(d=d, pairs=pairs)
 

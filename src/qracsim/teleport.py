@@ -16,7 +16,6 @@ completeness, checked once per frame; k/d^2 is its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -24,29 +23,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .qcore import bell_state, f_from_F, fraction_json
+from .qcore import bell_state, check_dimension, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StrategyResult:
+class StrategyResult(NamedTuple):
     """Outcome of one strategy: fidelities and provenance.  A strategy's
     success probability is its entanglement fidelity F."""
 
     strategy_name: str
     entanglement_fidelity_F: float
-    transmission_fidelity_f: float
     exact: Fraction | None
     details: dict
 
-    def __post_init__(self):
-        d = self.details.get("d")
-        if d is not None:
-            expected_f = (int(d) * self.entanglement_fidelity_F + 1) / (int(d) + 1)
-            if abs(self.transmission_fidelity_f - expected_f) > 1e-10:
-                raise ValueError("reported f does not match (d F + 1)/(d + 1)")
+    @property
+    def transmission_fidelity_f(self) -> float:
+        """Channel fidelity f = (d F + 1)/(d + 1), from the exact F where there is one."""
+        F = self.entanglement_fidelity_F if self.exact is None else self.exact
+        return float(f_from_F(F, self.details["d"]))
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -150,11 +146,9 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     for i in range(d * d):  # left to right: sum() compensates on Python >= 3.12
         total += q[i][min(i, k - 1)]
     exact = Fraction(k, d * d)
-    f = float(f_from_F(exact, d))
     return StrategyResult(
         strategy_name="constrained_teleportation",
         entanglement_fidelity_F=total,
-        transmission_fidelity_f=f,
         exact=exact,
         details={"d": d, "k": k, "exact_float": float(exact)},
     )
@@ -177,7 +171,6 @@ def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
     return StrategyResult(
         strategy_name="nsqrac_split",
         entanglement_fidelity_F=simulated,
-        transmission_fidelity_f=float(f_from_F(exact, d)),
         exact=exact,
         details={"d": d, "k_prime": k_prime, "fidelity_first": f1, "fidelity_second": f2},
     )
@@ -186,8 +179,7 @@ def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
 def nsqrac_favored_strategy(d: int) -> StrategyResult:
     """Teleport the first qudit perfectly and output a maximally mixed guess
     for the second: success (1 + 1/d^2)/2, with a simulation witness."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    check_dimension(d)
     f1 = constrained_teleport_fidelity(d, d * d).entanglement_fidelity_F
     psi = bell_state(d)
     f2 = float((psi.real**2 + psi.imag**2).sum()) / (d * d)  # <psi+| 1/d^2 |psi+>
@@ -196,7 +188,6 @@ def nsqrac_favored_strategy(d: int) -> StrategyResult:
     return StrategyResult(
         strategy_name="nsqrac_favored",
         entanglement_fidelity_F=simulated,
-        transmission_fidelity_f=float(f_from_F(exact, d)),
         exact=exact,
         details={"d": d, "fidelity_first": f1, "fidelity_second": f2, "exact_float": float(exact)},
     )
@@ -237,7 +228,6 @@ def composite_nsqrac_via_qracse(d: int) -> StrategyResult:
     return StrategyResult(
         strategy_name="nsqrac_via_qracse",
         entanglement_fidelity_F=F,
-        transmission_fidelity_f=float(f_from_F(F, d)),
         exact=None,
         details=details,
     )

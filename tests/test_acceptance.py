@@ -232,7 +232,7 @@ def test_08_bounds():
                     bounds.symmetric_bound(d, n) == Fraction(n + d - 1, d * n),
                     f"symmetric_bound({d}, {n})",
                 )
-        rec.check(bounds.werner_fidelity(bounds.CloningParams(1, 2, 2)) == Fraction(5, 6), "cloning 1->2")
+        rec.check(bounds.werner_fidelity(1, 2, 2) == Fraction(5, 6), "cloning 1->2")
         rec.check(abs(bounds.asym_closed_form_n2(0.5, 2) - 0.75) < 1e-12, "closed form at p=1/2")
         for d in (2, 3):
             for i in range(11):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qracsim.bounds import (
     AsymSpec,
-    CloningParams,
     asym_closed_form_n2,
     asym_optimize,
     fully_entangled_fraction,
@@ -29,26 +28,26 @@ from reference import expectation, weyl
 
 class TestWernerFidelity:
     def test_one_to_two_qubits(self):
-        assert werner_fidelity(CloningParams(1, 2, 2)) == Fraction(5, 6)
+        assert werner_fidelity(1, 2, 2) == Fraction(5, 6)
 
     def test_no_extra_clones_is_perfect(self):
         for n in (1, 2, 3):
             for d in (2, 3):
-                assert werner_fidelity(CloningParams(n, n, d)) == 1
+                assert werner_fidelity(n, n, d) == 1
 
     def test_one_to_three_qubits(self):
         # rational oracle: 1/3 + (2*2)/(3*3)
-        assert werner_fidelity(CloningParams(1, 3, 2)) == Fraction(1, 3) + Fraction(4, 9)
+        assert werner_fidelity(1, 3, 2) == Fraction(1, 3) + Fraction(4, 9)
 
     def test_nonincreasing_in_output_count(self):
         for d in (2, 3, 4):
-            values = [werner_fidelity(CloningParams(1, n2, d)) for n2 in range(1, 7)]
+            values = [werner_fidelity(1, n2, d) for n2 in range(1, 7)]
             assert all(a >= b for a, b in zip(values, values[1:]))
             assert all(v < 1 for v in values[1:])
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            CloningParams(3, 2, 2)
+            werner_fidelity(3, 2, 2)
 
 
 class TestSymmetricBound:
@@ -141,6 +140,16 @@ class TestAsymOptimize:
         optimum = asym_optimize(AsymSpec(d=2, probabilities=(1.0, 0.0)))
         assert optimum.value == pytest.approx(1.0, abs=1e-12)
         assert max(optimum.point) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2.5, 2.0])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, d):
+        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.[05]$"):
+            AsymSpec(d=d, probabilities=(0.5, 0.5))
+
+    def test_numpy_integer_dimension_passes(self):
+        spec = AsymSpec(d=np.int64(3), probabilities=(0.2, 0.8))
+        assert type(spec.d) is int
+        assert asym_optimize(spec) == asym_optimize(AsymSpec(d=3, probabilities=(0.2, 0.8)))
 
     def test_deterministic(self):
         spec = AsymSpec(d=2, probabilities=(0.3, 0.7))

@@ -283,6 +283,11 @@ class TestNumericalFailures:
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("d", ["1", "6"])
+    def test_missing_builtin_table_names_the_built_in_dimensions(self, capsys, d):
+        assert main(["qracse", "--d", d]) == 2
+        assert capsys.readouterr().err == f"error: no built-in table for d={d}; built-in tables exist for d = 2, 3, 4\n"
+
     def test_teleport_dimension_cap_is_one_error_line(self, capsys):
         # d = 9 is the smallest rejected dimension; it would still fit in memory
         assert main(["teleport", "--d", "9", "--k", "81"]) == 2

@@ -9,6 +9,7 @@ from qracsim.qcore import (
     NORM_TOL,
     F_from_f,
     bell_state,
+    check_dimension,
     f_from_F,
 )
 from reference import apply, expectation, states_equal
@@ -112,6 +113,17 @@ def _contractions(draw):
     if draw(st.booleans()):
         state = state.reshape(dims)
     return op, sites, state, dims
+
+
+class TestCheckDimension:
+    @pytest.mark.parametrize("d", [2, 9, np.int64(3), np.uint8(4)])
+    def test_integers_pass_as_int(self, d):
+        assert check_dimension(d) == d and type(check_dimension(d)) is int
+
+    @pytest.mark.parametrize("d, message", [(1, "at least 2"), (True, "at least 2"), (2.0, "an integer"), ("3", "an integer")])
+    def test_rejects(self, d, message):
+        with pytest.raises(ValueError, match=f"^dimension must be {message}, got "):
+            check_dimension(d)
 
 
 class TestApply:

@@ -4,14 +4,13 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qracsim import teleport
+from qracsim.qcore import f_from_F
 from qracsim.teleport import (
-    StrategyResult,
     _bell_frame,
     _composite_full_state_fidelity,
     _pair_frame,
@@ -176,8 +175,6 @@ class TestOverlapMatrix:
         generic = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         psi = generic / np.linalg.norm(generic)
         monkeypatch.setattr(teleport, "_bell_frame", lambda _: _pair_frame(d, psi))
-        # off psi+ F is no longer k/d^2, so the result's f = (d F + 1)/(d + 1) check cannot hold
-        monkeypatch.setattr(teleport, "StrategyResult", SimpleNamespace)
         for k in range(1, d * d + 1):
             fidelity = constrained_teleport_fidelity(d, k).entanglement_fidelity_F
             assert abs(fidelity - complement_route_fidelity(d, k, psi)) <= 4.4e-16
@@ -370,15 +367,11 @@ class TestCompositeStrategy:
 
 
 class TestStrategyResult:
-    def test_fidelity_relation_enforced(self):
-        with pytest.raises(ValueError):
-            StrategyResult(
-                strategy_name="broken",
-                entanglement_fidelity_F=0.5,
-                transmission_fidelity_f=0.9,
-                exact=None,
-                details={"d": 2},
-            )
+    def test_f_follows_from_F_without_an_exact_value(self):
+        # the composite strategy has no exact F, so f derives from the simulated one
+        result = composite_nsqrac_via_qracse(2)
+        assert result.exact is None
+        assert result.transmission_fidelity_f == float(f_from_F(result.entanglement_fidelity_F, 2))
 
     def test_json_dict_contains_exact(self):
         result = constrained_teleport_fidelity(2, 3)
