@@ -4,7 +4,10 @@ entanglement and unconstrained classical communication.
 Closed-form bounds are evaluated in exact rational arithmetic; the
 asymmetric case maximises a weighted sum of squares on the ellipsoid
 surface that the fidelity constraint carves out of [0, 1]^N, which is
-solved exactly as the top eigenpair of an N x N symmetric matrix.
+solved exactly as the top eigenpair of an N x N symmetric matrix.  The
+feasibility scan reads each two-qubit marginal's fully entangled fraction
+off the state's amplitudes, as half the top eigenvalue of a real 4 x 4
+Gram matrix, and builds no density matrix.
 """
 
 from __future__ import annotations
@@ -17,21 +20,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import NORM_TOL, PSD_TOL, TRACE_TOL, F_from_f, check_dimension
+from .qcore import NORM_TOL, PSD_TOL, F_from_f, check_dimension, check_integer
 
 PROB_SUM_TOL = 1e-12
 KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
-
-_SQ2 = 1 / np.sqrt(2)
-# columns: (|00>+|11>)/s2, i(|00>-|11>)/s2, i(|01>+|10>)/s2, (|01>-|10>)/s2
-_MAGIC_BASIS = np.array(
-    [
-        [_SQ2, 1j * _SQ2, 0, 0],
-        [0, 0, 1j * _SQ2, _SQ2],
-        [0, 0, 1j * _SQ2, -_SQ2],
-        [_SQ2, -1j * _SQ2, 0, 0],
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -145,18 +137,6 @@ def asym_optimize(spec: AsymSpec) -> AsymOptimum:
     )
 
 
-def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
-    """Maximal overlap of a two-qubit state with a maximally entangled state:
-    the largest eigenvalue of the real part of rho in the magic basis.  A
-    (..., 4, 4) stack of density matrices gives one value per matrix."""
-    m = np.asarray(rho)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[-1]}")
-    magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS
-    top = np.linalg.eigvalsh(magic.real)[..., -1]
-    return float(top) if top.ndim == 0 else top
-
-
 class MonogamyScan(NamedTuple):
     min_residual: float
     n_states: int
@@ -172,7 +152,18 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     the next 16 uniforms in order: amplitude j = 0..7 takes u1, u2 and is
     r (cos t + i sin t) with r = sqrt(-2 ln(1 - u1)) and t = 2 pi u2, by
     scalar Box-Muller in math, so the draw does not depend on numpy's SIMD
-    dispatch.  The normalised complex Gaussian vector is Haar-random."""
+    dispatch.  The normalised complex Gaussian vector is Haar-random.
+
+    The marginal on (A_k, C) is rho = sum_b |psi_b><psi_b| over the two
+    branches psi_b left with the other sender in state b.  Its fully
+    entangled fraction is the top eigenvalue of Re(M^dag rho M), M the magic
+    basis.  With w_b = sqrt(2) M^dag psi_b = (psi00 + psi11, -i(psi00 - psi11),
+    -i(psi01 + psi10), psi01 - psi10), 2 Re(M^dag rho M) = V^T V for the
+    rows Re w_0, Im w_0, Re w_1, Im w_1 of V, and the real Gram matrix V V^T
+    has the same eigenvalues: one stacked eigvalsh gives the fraction as half
+    the top one and the positivity check as the lowest.  The Gram trace is
+    2 |psi|^2, which the norm check bounds, so no trace check is needed."""
+    n_states = check_integer(n_states, "n_states")
     if n_states < 1:
         raise ValueError("need at least one state")
     if not isinstance(seed, int) or seed < 0:  # random.Random would take abs(seed), or hash a float
@@ -190,17 +181,17 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     if not norm_error <= NORM_TOL:  # NaN fails this comparison
         raise ValueError(f"ket must be normalised, |norm - 1| = {norm_error:.3e}")
     t = psi.reshape(n_states, 2, 2, 2)
-    # rho[m, 0] and rho[m, 1] are the (A1, C) and (A2, C) marginals: trace out the other sender
-    rho = np.stack([np.einsum("mabc,mdbf->macdf", t, t.conj()), np.einsum("mabc,madf->mbcdf", t, t.conj())], 1)
-    rho = rho.reshape(n_states, 2, 4, 4)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    trace_error = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max()
-    if not trace_error <= TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, |trace - 1| = {trace_error:.3e}")
-    lowest = np.linalg.eigvalsh(rho)[..., 0].min()
+    # psi_b of the (A_k, C) marginal at [:, k, b], entries 00, 01, 10, 11 along the last axis
+    branches = np.stack([t.swapaxes(1, 2), t], 1).reshape(n_states, 2, 2, 4)
+    (x00, x01, x10, x11), (y00, y01, y10, y11) = np.moveaxis(branches.real, -1, 0), np.moveaxis(branches.imag, -1, 0)
+    w_real, w_imag = [x00 + x11, y00 - y11, y01 + y10, x01 - x10], [y00 + y11, x11 - x00, -x01 - x10, y01 - y10]
+    rows = np.stack(w_real + w_imag, -1).reshape(n_states, 2, 4, 4)
+    gram = (rows[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
+    eigenvalues = np.linalg.eigvalsh(gram)
+    lowest = eigenvalues[..., 0].min()
     if not lowest >= PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
-    residuals = kay_constraint_residual(fully_entangled_fraction(rho), d=2)
+        raise ValueError(f"marginal Gram matrix has negative eigenvalue {lowest:.3e}")
+    residuals = kay_constraint_residual(eigenvalues[..., -1] / 2, d=2)
     return MonogamyScan(
         min_residual=float(residuals.min()),
         n_states=n_states,

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .qcore import check_dimension
+from .qcore import check_dimension, check_integer
 
 Pair = tuple[int, int]
 
@@ -43,7 +43,7 @@ class EncodingTable:
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((check_integer(a, "digit"), check_integer(b, "digit")) for a, b in self.pairs)
         if len(pairs) != self.d**2:
             raise ValueError(f"table must have d^2 = {self.d ** 2} entries, got {len(pairs)}")
         for a, b in pairs:

@@ -1,9 +1,10 @@
 """Quantum primitives shared by the package.
 
-The maximally entangled state, the dimension check, the tolerances of the
-state checks, the conversion between entanglement fidelity F and
-transmission fidelity f, and the JSON form of an exact rational.  All are
-pure functions on immutable values, so concurrent use is safe.
+The maximally entangled state, the integer and dimension checks, the
+tolerances of the state checks, the conversion between entanglement
+fidelity F and transmission fidelity f, and the JSON form of an exact
+rational.  All are pure functions on immutable values, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
@@ -14,18 +15,22 @@ from fractions import Fraction
 import numpy as np
 
 NORM_TOL = 1e-12
-TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 
 RationalLike = int | float | Fraction
 
 
-def check_dimension(d) -> int:
-    """``d`` as an int, if it is an integer of at least 2; a numpy integer passes."""
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, if it is an integer; a numpy integer or a bool passes."""
     try:
-        d = operator.index(d)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"dimension must be an integer, got {d!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_dimension(d) -> int:
+    """``d`` as an int, if it is an integer of at least 2."""
+    d = check_integer(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return d

@@ -24,6 +24,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .codes import EncodingTable, validate
+from .qcore import check_integer
 
 VARIANTS = ("two_strings", "four_dits_pairs", "four_dits_single", "boolean_f")
 
@@ -56,8 +57,10 @@ class QracTask:
             raise ValueError(f"table dimension {self.table.d} does not match d={self.d}")
         f = self.boolean_function
         if self.variant == "boolean_f":
-            if f is None or len(f) != 8 or any(v not in (0, 1) for v in f):
+            f = () if f is None else tuple(check_integer(v, "truth table entry") for v in f)
+            if len(f) != 8 or not set(f) <= {0, 1}:
                 raise ValueError("boolean_f needs a truth table of 8 binary values")
+            object.__setattr__(self, "boolean_function", f)
         elif f is not None:
             raise ValueError(f"a truth table applies to variant 'boolean_f' only, not {self.variant!r}")
 

@@ -6,19 +6,22 @@ published encoding tables as transcribed, the two-string scorer in its
 ``np.add.accumulate`` form, which the package's scorer must match bit for
 bit, the table search climbed one restart at a time, the state-vector
 primitive :func:`apply` with :func:`expectation`, the composite strategy's
-teleportation layer on the whole 8-site state vector, and the constrained
+teleportation layer on the whole 8-site state vector, the constrained
 teleportation POVM with its fidelity, the complement outcome simulated
-directly.  Both teleportation routes build
+directly, and the feasibility scan's density-matrix route
+(:func:`kay_density_matrix_residuals`): both receiver marginals by
+``einsum``, hermitised, and :func:`fully_entangled_fraction` through the
+magic basis and a complex ``eigvalsh``.  Both teleportation routes build
 the d^2 dense d^2 x d^2 Bell projectors, from the package's own integer
 Weyl operators and maximally entangled state, and apply them to the state
 vector with BLAS, where the package reads the same numbers off d x d Bell
 vectors with real products and fixed-axis sums.  The package never builds
 any of these: it reads the protocol off two closed-form kernels, builds
-integer Weyl operators exactly, generates its tables, builds no POVM or
-projector and simulates no state vector.  These builders take the other
-route, through the Fourier matrix, dense operators and one ket at a time,
-so a test that compares the two checks the package against code it does
-not share.
+integer Weyl operators exactly, generates its tables, builds no POVM,
+projector or density matrix and simulates no state vector.  These
+builders take the other route, through the Fourier matrix, dense
+operators and one ket at a time, so a test that compares the two checks
+the package against code it does not share.
 
 The shift and clock matrices act on the computational basis as
 X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>.  Fractional powers are
@@ -30,6 +33,7 @@ X^s X^t = X^(s+t) exactly.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -40,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 import qracsim.qracse
+from qracsim.bounds import kay_constraint_residual
 from qracsim.codes import (
     EncodingTable,
     Pair,
@@ -57,6 +62,17 @@ from qracsim.teleport import _weyl, _weyl_labels
 ExponentLike = int | float | Fraction
 
 PHASE_EQUALITY_TOL = 1e-10
+
+_SQ2 = 1 / np.sqrt(2)
+# columns: (|00>+|11>)/s2, i(|00>-|11>)/s2, i(|01>+|10>)/s2, (|01>-|10>)/s2
+_MAGIC_BASIS = np.array(
+    [
+        [_SQ2, 1j * _SQ2, 0, 0],
+        [0, 0, 1j * _SQ2, _SQ2],
+        [0, 0, 1j * _SQ2, -_SQ2],
+        [_SQ2, -1j * _SQ2, 0, 0],
+    ]
+)
 
 # published tables for d = 2, 3, 4; entry e -> (a0, a1)
 PUBLISHED_TABLES: dict[int, tuple[Pair, ...]] = {
@@ -392,3 +408,33 @@ def complement_route_fidelity(d: int, k: int, psi: np.ndarray | None = None) -> 
     for b in projectors[: k - 1]:
         total += _branch_overlap(d, state, b.T, b)
     return total + _branch_overlap(d, state, povm[-1], projectors[k - 1])
+
+
+def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
+    """Maximal overlap of a two-qubit state with a maximally entangled state:
+    the largest eigenvalue of the real part of rho in the magic basis.  A
+    (..., 4, 4) stack of density matrices gives one value per matrix."""
+    m = np.asarray(rho)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"fully entangled fraction is implemented for two qubits, got dimension {m.shape[-1]}")
+    magic = _MAGIC_BASIS.conj().T @ m @ _MAGIC_BASIS
+    top = np.linalg.eigvalsh(magic.real)[..., -1]
+    return float(top) if top.ndim == 0 else top
+
+
+def kay_density_matrix_residuals(n_states: int, seed: int) -> np.ndarray:
+    """Every residual of ``bounds.kay_feasibility_scan(n_states, seed)`` by
+    density matrices: the same states in the documented order, drawn by
+    log1p and cmath.rect, both receiver marginals by einsum and
+    hermitised, and the fully entangled fraction of each through the magic
+    basis and eigvalsh."""
+    uniform = random.Random(seed).random
+    u = [uniform() for _ in range(16 * n_states)]
+    v = [cmath.rect(math.sqrt(-2 * math.log1p(-u1)), 2 * math.pi * u2) for u1, u2 in zip(u[::2], u[1::2])]
+    psi = np.array(v).reshape(n_states, 8)
+    t = (psi / np.linalg.norm(psi, axis=1, keepdims=True)).reshape(n_states, 2, 2, 2)
+    # rho[m, 0] and rho[m, 1] are the (A1, C) and (A2, C) marginals: trace out the other sender
+    rho = np.stack([np.einsum("mabc,mdbf->macdf", t, t.conj()), np.einsum("mabc,madf->mbcdf", t, t.conj())], 1)
+    rho = rho.reshape(n_states, 2, 4, 4)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return kay_constraint_residual(fully_entangled_fraction(rho), 2)

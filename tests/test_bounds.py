@@ -14,7 +14,6 @@ from qracsim.bounds import (
     AsymSpec,
     asym_closed_form_n2,
     asym_optimize,
-    fully_entangled_fraction,
     kay_constraint_residual,
     kay_feasibility_scan,
     symmetric_bound,
@@ -23,7 +22,7 @@ from qracsim.bounds import (
 )
 from qracsim import bounds
 from qracsim.qcore import bell_state
-from reference import expectation, weyl
+from reference import expectation, fully_entangled_fraction, kay_density_matrix_residuals, weyl
 
 
 class TestWernerFidelity:
@@ -286,6 +285,29 @@ class TestMonogamyScan:
         # random.Random would take abs(-1) or hash 1.5 and run on
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             kay_feasibility_scan(n_states=2, seed=seed)
+
+    @pytest.mark.parametrize("n_states", [2.5, 2.0, "2"])
+    def test_rejects_a_state_count_that_is_not_an_integer(self, n_states):
+        with pytest.raises(ValueError, match="^n_states must be an integer, got "):
+            kay_feasibility_scan(n_states=n_states, seed=2)
+
+    def test_numpy_integer_state_count_passes(self):
+        scan = kay_feasibility_scan(n_states=np.int64(3), seed=2)
+        assert type(scan.n_states) is int
+        assert scan == kay_feasibility_scan(n_states=3, seed=2)
+
+    @pytest.mark.parametrize("seed", [20220314, 1, 7])
+    def test_every_residual_matches_density_matrix_route(self, seed, monkeypatch):
+        # the Gram route against marginals by einsum, the magic basis and a complex eigvalsh. Every
+        # fraction is at least 1/4, where the residual's slope in each fraction lies in [-1, 0], so
+        # a fraction error of 1.4e-15 moves a residual by at most 2.8e-15
+        n_states = 500
+        monkeypatch.setattr(bounds, "KAY_SCAN_HEAD", n_states)
+        scan = kay_feasibility_scan(n_states=n_states, seed=seed)
+        expected = kay_density_matrix_residuals(n_states, seed)
+        assert len(scan.residuals_head) == n_states
+        assert np.max(np.abs(np.array(scan.residuals_head) - expected)) <= 1e-14
+        assert abs(scan.min_residual - expected.min()) <= 1e-14
 
     @pytest.mark.parametrize("seed", [20220314, 7])
     def test_every_residual_matches_per_state_oracle(self, seed, monkeypatch):

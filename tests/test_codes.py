@@ -120,6 +120,17 @@ class TestTableType:
         table = EncodingTable(d=np.int64(2), pairs=builtin_table(2).pairs)
         assert type(table.d) is int and table == builtin_table(2)
 
+    @pytest.mark.parametrize("digit", [0.9, 1.0, "1"])
+    def test_rejects_a_digit_that_is_not_an_integer(self, digit):
+        # int() would truncate 0.9 to 0 and accept the built-in table
+        with pytest.raises(ValueError, match=f"^digit must be an integer, got {digit!r}$"):
+            EncodingTable(d=2, pairs=((digit, 0), (0, 1), (1, 1), (1, 0)))
+
+    def test_numpy_integer_digits_pass_as_int(self):
+        table = EncodingTable(d=2, pairs=tuple((np.int64(a), np.uint8(b)) for a, b in builtin_table(2).pairs))
+        assert all(type(digit) is int for pair in table.pairs for digit in pair)
+        assert table == builtin_table(2)
+
     # a table reaches JSON as the "table" detail of its protocol report
     @pytest.mark.parametrize("d", range(2, 7))
     def test_json_round_trip(self, d):

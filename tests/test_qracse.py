@@ -569,6 +569,18 @@ class TestBooleanFunction:
         with pytest.raises(ValueError):
             boolean((0, 1, 2, 0, 1, 0, 1, 0))
 
+    @pytest.mark.parametrize("entry", [1.0, 0.5, "1"])
+    def test_rejects_a_truth_table_entry_that_is_not_an_integer(self, entry):
+        # 1.0 == 1 passed the range check, and then failed as an array index
+        with pytest.raises(ValueError, match=f"^truth table entry must be an integer, got {entry!r}$"):
+            boolean((0, 0, 0, entry, 0, 1, 1, 1))
+
+    def test_truth_table_is_stored_and_written_as_ints(self):
+        task = QracTask(d=2, table=builtin_table(2), variant="boolean_f", boolean_function=[False, True] * 4)
+        assert task.boolean_function == (0, 1) * 4
+        assert all(type(v) is int for v in task.boolean_function)
+        assert json.dumps(run_protocol(task).to_json_dict()["details"]["truth_table"]) == "[0, 1, 0, 1, 0, 1, 0, 1]"
+
     @pytest.mark.parametrize("variant", ["two_strings", "four_dits_pairs", "four_dits_single"])
     def test_other_variants_reject_a_truth_table(self, variant):
         with pytest.raises(ValueError, match="applies to variant 'boolean_f' only"):
