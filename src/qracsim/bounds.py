@@ -3,11 +3,12 @@ entanglement and unconstrained classical communication.
 
 Closed-form bounds are evaluated in exact rational arithmetic; the
 asymmetric case maximises a weighted sum of squares on the ellipsoid
-surface that the fidelity constraint carves out of [0, 1]^N, which is
-solved exactly as the top eigenpair of an N x N symmetric matrix.  The
-feasibility scan reads each two-qubit marginal's fully entangled fraction
-off the state's amplitudes, as half the top eigenvalue of a real 4 x 4
-Gram matrix, and builds no density matrix.
+surface that the fidelity constraint carves out of [0, 1]^N, whose optimum
+is the root of a secular equation, bisected in scalar math, with the
+maximiser in closed form and no matrix built.  The feasibility scan reads
+each two-qubit marginal's fully entangled fraction off the state's
+amplitudes, as half the top eigenvalue of a real 4 x 4 Gram matrix, and
+builds no density matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import NORM_TOL, PSD_TOL, F_from_f, check_dimension, check_integer
+from .qcore import NORM_TOL, PSD_TOL, F_from_f, check_dimension, check_integer, check_seed
 
 PROB_SUM_TOL = 1e-12
 KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
@@ -38,7 +39,7 @@ class AsymSpec:
         p = tuple(float(x) for x in self.probabilities)
         if len(p) < 2:
             raise ValueError("need at least two receivers")
-        if not all(np.isfinite(p)):
+        if not all(map(math.isfinite, p)):
             raise ValueError(f"probabilities must be finite, got {list(p)}")
         if any(x < 0 for x in p):
             raise ValueError("probabilities must be nonnegative")
@@ -54,6 +55,7 @@ class AsymSpec:
 def werner_fidelity(n1: int, n2: int, d: int) -> Fraction:
     """Optimal universal cloning fidelity N1/N2 + (N2-N1)(N1+1)/(N2(N1+d)) of
     N1 input copies cloned to N2 outputs in dimension d."""
+    n1, n2 = check_integer(n1, "n1"), check_integer(n2, "n2")
     if not 1 <= n1 <= n2:
         raise ValueError(f"need 1 <= n1 <= n2, got n1={n1}, n2={n2}")
     check_dimension(d)
@@ -63,7 +65,7 @@ def werner_fidelity(n1: int, n2: int, d: int) -> Fraction:
 def symmetric_bound(d: int, n: int) -> Fraction:
     """Success bound (N + d - 1)/(d N) for N equally likely d-dimensional inputs."""
     check_dimension(d)
-    if n < 1:
+    if (n := check_integer(n, "n")) < 1:
         raise ValueError(f"need at least one receiver, got {n}")
     return Fraction(n + d - 1, d * n)
 
@@ -92,7 +94,7 @@ def asym_closed_form_n2(p: float, d: int) -> float:
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     check_dimension(d)
-    return float(0.5 * (1 + np.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2)))
+    return 0.5 * (1 + math.sqrt(1 + 4 * (d * d - 1) * (p - 1) * p / d**2))
 
 
 class AsymOptimum(NamedTuple):
@@ -102,39 +104,36 @@ class AsymOptimum(NamedTuple):
 
 
 def asym_optimize(spec: AsymSpec) -> AsymOptimum:
-    """Maximise sum p_i x_i^2 over x in [0,1]^N on the constraint surface.
-
-    The surface is x^T Q x = c with Q = 1 - J/(N+d-1), c = (d-1)/d.  Q is
-    positive definite with Q^-1 = 1 + J/(d-1) (Sherman-Morrison), so the
-    stationarity condition P x = mu Q x is the symmetric eigenproblem
-    S y = mu y with u = sqrt(p), S = diag(p) + u u^T/(d-1) and
-    x = Q^-1 (u * y).  The optimum is c * lambda_max(S), attained at the top
-    eigenvector rescaled onto the surface.  Q^-1 P is entrywise nonnegative,
-    so by Perron-Frobenius the maximiser can be taken nonnegative; if it
-    still leaves the unit box the bound is not attained there and a
-    ValueError is raised.
-    """
+    """Maximise sum p_i x_i^2 over x in [0,1]^N on the surface x^T Q x = c,
+    Q = 1 - J/(N+d-1), c = (d-1)/d.  As Q^-1 = 1 + J/(d-1), the optimum is c l
+    for the top eigenvalue l of diag(p) + u u^T/(d-1), u = sqrt(p): the root
+    of g(l) = sum p_i/(l - p_i) - (d-1) (Golub, SIAM Rev. 15, 318 (1973)).  g
+    falls strictly above max p and is <= 0 from max p + 1/(d-1) on, so l is
+    bisected on (max p, max p + 1], whose ends stay apart in floats for any
+    d, to adjacent floats, keeping the end with the smaller |g|; every sum
+    is a math.fsum, so no BLAS kernel moves a bit.  The eigenvector
+    y_i ~ u_i/(l - p_i) gives Q^-1 (u * y) ~ p_i/(l - p_i) + 1 = l/(l - p_i)
+    by g(l) = 0, so the maximiser is x_i ~ 1/(l - p_i) > 0 rescaled onto the
+    surface; if it leaves the unit box, a ValueError is raised."""
     n, d = spec.n, spec.d
     if n > 8:
         raise ValueError("supported receiver counts are 2 <= N <= 8")
-    p = np.asarray(spec.probabilities)
-    u = np.sqrt(p)
-    c = (d - 1) / d
-    eigenvalues, eigenvectors = np.linalg.eigh(np.diag(p) + np.outer(u, u) / (d - 1))
-    lam, y = float(eigenvalues[-1]), eigenvectors[:, -1]
-    z = u * y
-    x = z + z.sum() / (d - 1)
-    if x.sum() < 0:
-        x = -x
-    q = np.eye(n) - np.ones((n, n)) / (n + d - 1)
-    x *= np.sqrt(c / float(x @ q @ x))
-    if x.min() < -1e-12 or x.max() > 1 + 1e-12:
-        raise ValueError(f"maximiser {x.tolist()} leaves the unit box")
-    return AsymOptimum(
-        value=c * lam,
-        point=tuple(float(v) for v in x),
-        details={"surface_residual": abs(float(x @ q @ x) - c)},
-    )
+    p, c = spec.probabilities, (d - 1) / d
+
+    def surface(v):  # v^T Q v
+        return math.fsum([a * a for a in v] + [-math.fsum(v) ** 2 / (n + d - 1)])
+
+    lo, hi, g_lo, g_hi = max(p), max(p) + 1, math.inf, 0.0  # g at an end once that end has moved
+    while lo < (mid := (lo + hi) / 2) < hi:
+        g = math.fsum([q / (mid - q) for q in p] + [1 - d])
+        lo, hi, g_lo, g_hi = (mid, hi, g, g_hi) if g > 0 else (lo, mid, g_lo, g)
+    lam = lo if g_lo < -g_hi else hi
+    w = [1 / (lam - q) for q in p]
+    scale = math.sqrt(c / surface(w))
+    x = tuple(a * scale for a in w)
+    if max(x) > 1 + 1e-12:
+        raise ValueError(f"maximiser {list(x)} leaves the unit box")
+    return AsymOptimum(value=c * lam, point=x, details={"surface_residual": abs(surface(x) - c)})
 
 
 class MonogamyScan(NamedTuple):
@@ -166,9 +165,7 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     n_states = check_integer(n_states, "n_states")
     if n_states < 1:
         raise ValueError("need at least one state")
-    if not isinstance(seed, int) or seed < 0:  # random.Random would take abs(seed), or hash a float
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    uniform = random.Random(seed).random
+    uniform = random.Random(check_seed(seed)).random
     amplitudes = []
     for _ in range(8 * n_states):
         r = math.sqrt(-2.0 * math.log(1.0 - uniform()))

@@ -202,14 +202,7 @@ def cmd_bounds(args) -> Output:
 def _check(name: str, computed: float, reference: float, tol: float, kind: str = HARD) -> dict:
     ok = abs(computed - reference) <= tol
     status = "pass" if ok else ("annotated" if kind == ANNOTATED else "fail")
-    return {
-        "name": name,
-        "computed": computed,
-        "reference": reference,
-        "tolerance": tol,
-        "kind": kind,
-        "status": status,
-    }
+    return {"name": name, "computed": computed, "reference": reference, "tolerance": tol, "kind": kind, "status": status}
 
 
 def _check_true(name: str, ok: bool, kind: str = HARD, **extra) -> dict:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .qcore import check_dimension, check_integer
+from .qcore import check_dimension, check_integer, check_seed
 
 Pair = tuple[int, int]
 
@@ -240,8 +240,7 @@ def search_tables(
     """
     from .qracse import _line_means, _two_string_values  # local import; qracse depends on this module
 
-    if not isinstance(seed, int) or seed < 0:  # random.Random would take abs(seed), or hash a float
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_seed(seed)
     if objective not in ("p_min", "p_avg"):
         raise ValueError(f"unknown objective {objective!r}")
     if not isinstance(budget, int) or budget < 1:  # a fractional budget is never reached exactly

@@ -1,6 +1,6 @@
 """Quantum primitives shared by the package.
 
-The maximally entangled state, the integer and dimension checks, the
+The maximally entangled state, the integer, seed and dimension checks, the
 tolerances of the state checks, the conversion between entanglement
 fidelity F and transmission fidelity f, and the JSON form of an exact
 rational.  All are pure functions on immutable values, so concurrent use
@@ -26,6 +26,13 @@ def check_integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int, if it is a non-negative integer (random.Random takes abs() or a float's hash)."""
+    if not hasattr(seed, "__index__") or operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return operator.index(seed)
 
 
 def check_dimension(d) -> int:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import builtin_table
-from .qcore import bell_state, check_dimension, f_from_F, fraction_json
+from .qcore import bell_state, check_dimension, check_integer, f_from_F, fraction_json
 from .qracse import QracTask, _inverse_array, _kernel, run_protocol
 
 POVM_SUM_TOL = 1e-10
@@ -139,7 +139,7 @@ def constrained_teleport_fidelity(d: int, k: int) -> StrategyResult:
     """
     if not 2 <= d <= 8:
         raise ValueError("supported dimensions are 2 <= d <= 8")
-    if not 1 <= k <= d * d:
+    if not 1 <= (k := check_integer(k, "k")) <= d * d:
         raise ValueError(f"k must lie in 1..d^2, got k={k} for d={d}")
     q = _bell_frame(d).overlaps
     total = 0.0
@@ -161,7 +161,7 @@ def nsqrac_split_strategy(d: int, k_prime: int) -> StrategyResult:
     success is (k'/d^2 + (d^2 - k')/d^2)/2 = 1/2 whatever the split.  Both
     halves are simulated end to end (an empty share contributes zero).
     """
-    if not 0 <= k_prime <= d * d:
+    if not 0 <= (k_prime := check_integer(k_prime, "k'")) <= d * d:
         raise ValueError(f"k' must lie in 0..d^2, got {k_prime}")
     f1 = constrained_teleport_fidelity(d, k_prime).entanglement_fidelity_F if k_prime else 0.0
     rest = d * d - k_prime

@@ -1,10 +1,12 @@
 """Prints one PASS/FAIL line per acceptance criterion after the test run,
-and provides the shared reproduction run and the environment of child
-processes."""
+and provides the shared reproduction run, the environment of child
+processes and the OpenBLAS kernels a child process can be pinned to."""
 
 import os
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qracsim
@@ -28,6 +30,22 @@ def child_env():
     that run the package in a child process."""
     src = str(Path(qracsim.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def openblas_kernels():
+    """Child-process settings that each pin one alternative OpenBLAS kernel
+    (Haswell, Sandybridge, Prescott).  Only a DYNAMIC_ARCH build can switch
+    kernels; on any other build the list is empty and a warning says that
+    only one kernel was compared."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 only prints its build configuration
+        blas = {}
+    if "DYNAMIC_ARCH" in blas.get("openblas configuration", ""):
+        return [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Sandybridge", "Prescott")]
+    warnings.warn(f"{blas.get('name')} is not a DYNAMIC_ARCH OpenBLAS: only one BLAS kernel was compared")
+    return []
 
 
 _acceptance_labels = {}

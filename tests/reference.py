@@ -8,10 +8,12 @@ bit, the table search climbed one restart at a time, the state-vector
 primitive :func:`apply` with :func:`expectation`, the composite strategy's
 teleportation layer on the whole 8-site state vector, the constrained
 teleportation POVM with its fidelity, the complement outcome simulated
-directly, and the feasibility scan's density-matrix route
+directly, the feasibility scan's density-matrix route
 (:func:`kay_density_matrix_residuals`): both receiver marginals by
 ``einsum``, hermitised, and :func:`fully_entangled_fraction` through the
-magic basis and a complex ``eigvalsh``.  Both teleportation routes build
+magic basis and a complex ``eigvalsh``, and the asymmetric bound as the top
+eigenpair of a dense symmetric matrix by ``eigh``
+(:func:`asym_optimize_eigh`).  Both teleportation routes build
 the d^2 dense d^2 x d^2 Bell projectors, from the package's own integer
 Weyl operators and maximally entangled state, and apply them to the state
 vector with BLAS, where the package reads the same numbers off d x d Bell
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 import qracsim.qracse
-from qracsim.bounds import kay_constraint_residual
+from qracsim.bounds import AsymOptimum, AsymSpec, kay_constraint_residual
 from qracsim.codes import (
     EncodingTable,
     Pair,
@@ -438,3 +440,24 @@ def kay_density_matrix_residuals(n_states: int, seed: int) -> np.ndarray:
     rho = rho.reshape(n_states, 2, 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return kay_constraint_residual(fully_entangled_fraction(rho), 2)
+
+
+def asym_optimize_eigh(spec: AsymSpec) -> AsymOptimum:
+    """``bounds.asym_optimize`` by a dense eigen-solve: the top eigenpair
+    (lambda, y) of S = diag(p) + u u^T/(d-1), u = sqrt(p), by LAPACK ``eigh``,
+    the maximiser Q^-1 (u * y) with Q^-1 = 1 + J/(d-1), its sign fixed by
+    Perron-Frobenius, and the rescaling onto x^T Q x = (d-1)/d by a dense
+    quadratic form.  The value is (d-1)/d * lambda."""
+    n, d = spec.n, spec.d
+    p = np.asarray(spec.probabilities)
+    u = np.sqrt(p)
+    c = (d - 1) / d
+    eigenvalues, eigenvectors = np.linalg.eigh(np.diag(p) + np.outer(u, u) / (d - 1))
+    lam, y = float(eigenvalues[-1]), eigenvectors[:, -1]
+    z = u * y
+    x = z + z.sum() / (d - 1)
+    if x.sum() < 0:
+        x = -x
+    q = np.eye(n) - np.ones((n, n)) / (n + d - 1)
+    x *= np.sqrt(c / float(x @ q @ x))
+    return AsymOptimum(value=c * lam, point=tuple(float(v) for v in x), details={"surface_residual": abs(float(x @ q @ x) - c)})

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import subprocess
@@ -22,7 +23,7 @@ from qracsim.bounds import (
 )
 from qracsim import bounds
 from qracsim.qcore import bell_state
-from reference import expectation, fully_entangled_fraction, kay_density_matrix_residuals, weyl
+from reference import asym_optimize_eigh, expectation, fully_entangled_fraction, kay_density_matrix_residuals, weyl
 
 
 class TestWernerFidelity:
@@ -45,8 +46,17 @@ class TestWernerFidelity:
             assert all(v < 1 for v in values[1:])
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need 1 <= n1 <= n2, got n1=3, n2=2$"):
             werner_fidelity(3, 2, 2)
+
+    @pytest.mark.parametrize("n1,n2,name,bad", [(1, 2.5, "n2", 2.5), (1.0, 2, "n1", 1.0), (1, "2", "n2", "2")])
+    def test_rejects_a_count_that_is_not_an_integer(self, n1, n2, name, bad):
+        # Fraction raised a TypeError on a float count
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            werner_fidelity(n1, n2, 2)
+
+    def test_numpy_integer_counts_pass(self):
+        assert werner_fidelity(np.int64(1), np.int64(2), 2) == Fraction(5, 6)
 
 
 class TestSymmetricBound:
@@ -59,6 +69,15 @@ class TestSymmetricBound:
 
     def test_two_qutrit_inputs(self):
         assert symmetric_bound(3, 2) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_rejects_a_receiver_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            symmetric_bound(2, n)
+
+    def test_rejects_no_receivers(self):
+        with pytest.raises(ValueError, match="^need at least one receiver, got 0$"):
+            symmetric_bound(2, 0)
 
     @pytest.mark.parametrize("d", range(2, 6))
     @pytest.mark.parametrize("n", range(1, 6))
@@ -197,6 +216,82 @@ class TestAsymOptimize:
             AsymSpec(d=3, probabilities=(0.5, bad))
 
 
+# the reproduce-all grid and the d = 3 case of the CLI goldens
+ASYM_GRID = [(d, (i / 10, 1 - i / 10)) for d in (2, 3) for i in range(11)] + [(3, (0.2, 0.3, 0.5))]
+
+
+def _asym_cases():
+    """(label, spec): the grid, then five seeded Dirichlet p for each N = 2..8 and d = 2, 3, 5, 9."""
+    cases = [(f"grid-d{d}-p{p}", AsymSpec(d=d, probabilities=p)) for d, p in ASYM_GRID]
+    rng = np.random.default_rng(20220314)
+    for n in range(2, 9):
+        for d in (2, 3, 5, 9):
+            for i, p in enumerate(rng.dirichlet(np.ones(n), size=5)):
+                cases.append((f"dirichlet-N{n}-d{d}-{i}", AsymSpec(d=d, probabilities=tuple(p / p.sum()))))
+    return cases
+
+
+ASYM_CASES = _asym_cases()
+
+
+def _secular_bracket(p, d):
+    """Adjacent floats a < b with g(a) > 0 >= g(b) in exact rational arithmetic,
+    for the secular function g(l) = sum p_i/(l - p_i) - (d - 1)."""
+
+    def g(l):
+        return sum(Fraction(q) / (Fraction(l) - Fraction(q)) for q in p) - (d - 1)
+
+    lo, hi = max(p), max(p) + 1
+    assert g(hi) <= 0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert lo > max(p)
+    return lo, hi
+
+
+class TestAsymSecularRoot:
+    @pytest.mark.parametrize("spec", [spec for _, spec in ASYM_CASES], ids=[label for label, _ in ASYM_CASES])
+    def test_matches_eigh_oracle(self, spec):
+        optimum, oracle = asym_optimize(spec), asym_optimize_eigh(spec)
+        assert abs(optimum.value - oracle.value) <= 1e-14 * oracle.value
+        assert max(abs(a - b) for a, b in zip(optimum.point, oracle.point)) <= 1e-14
+        assert optimum.details["surface_residual"] <= 1e-15
+
+    @pytest.mark.parametrize("spec", [spec for _, spec in ASYM_CASES], ids=[label for label, _ in ASYM_CASES])
+    def test_root_is_within_one_ulp_of_the_exact_bracket(self, spec):
+        # the value is c * l with c = (d-1)/d, and rounding c * l is monotone in l, so a root l
+        # within one ulp of the bracket [a, b] gives a value between the roundings at its neighbours
+        a, b = _secular_bracket(spec.probabilities, spec.d)
+        c = (spec.d - 1) / spec.d
+        assert c * math.nextafter(a, 0) <= asym_optimize(spec).value <= c * math.nextafter(b, math.inf)
+
+
+# the repr of asym_optimize at every (d, p) in argv[1], one line each
+_ASYM_BYTES = """
+import json, sys
+from qracsim.bounds import AsymSpec, asym_optimize
+for d, p in json.loads(sys.argv[1]):
+    print(repr(asym_optimize(AsymSpec(d=d, probabilities=tuple(p)))))
+"""
+
+
+def test_asym_bytes_do_not_depend_on_blas_kernel(child_env, openblas_kernels):
+    # the root, the maximiser and the surface residual are scalar math with math.fsum sums,
+    # so no OpenBLAS kernel may move a bit
+    argv = [sys.executable, "-c", _ASYM_BYTES, json.dumps(ASYM_GRID)]
+    outputs = {}
+    for extra in [{}] + openblas_kernels:
+        run = subprocess.run(argv, env={**child_env, **extra}, check=True, capture_output=True, text=True)
+        outputs[" ".join(f"{k}={v}" for k, v in extra.items()) or "default"] = run.stdout.splitlines()
+    default = outputs.pop("default")
+    assert default == [repr(asym_optimize(AsymSpec(d=d, probabilities=p))) for d, p in ASYM_GRID]
+    differ = {label: sum(a != b for a, b in zip(default, lines)) for label, lines in outputs.items() if lines != default}
+    assert differ == {}, f"lines that differ from the default child's, of {len(default)}: {differ}"
+
+
 def pure(ket):
     return np.outer(ket, ket.conj())
 
@@ -290,6 +385,9 @@ class TestMonogamyScan:
     def test_rejects_a_state_count_that_is_not_an_integer(self, n_states):
         with pytest.raises(ValueError, match="^n_states must be an integer, got "):
             kay_feasibility_scan(n_states=n_states, seed=2)
+
+    def test_numpy_integer_seed_passes(self):
+        assert kay_feasibility_scan(n_states=3, seed=np.int64(3)) == kay_feasibility_scan(n_states=3, seed=3)
 
     def test_numpy_integer_state_count_passes(self):
         scan = kay_feasibility_scan(n_states=np.int64(3), seed=2)

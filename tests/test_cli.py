@@ -178,7 +178,7 @@ class TestReproduceAll:
         assert code == 0
 
     def test_artifacts_do_not_depend_on_blas_thread_count(self, tmp_path, child_env):
-        # the Kay scan runs a stacked eigvalsh and asym_optimize an eigh, which BLAS may split across threads
+        # the Kay scan runs a stacked eigvalsh, which BLAS may split across threads
         artifacts = []
         for threads in ("1", "2"):
             out_dir = tmp_path / f"threads{threads}"

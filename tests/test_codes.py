@@ -194,6 +194,9 @@ class TestSearch:
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
             search_tables(4, "p_min", budget=100, seed=seed)
 
+    def test_numpy_integer_seed_passes(self):
+        assert search_tables(3, "p_min", budget=40, seed=np.int64(3)) == search_tables(3, "p_min", budget=40, seed=3)
+
     @pytest.mark.parametrize("objective", ["p_min", "p_avg"])
     def test_d3_budget_past_the_space_stops_after_every_table(self, objective):
         # there are only 864 valid d = 3 tables, so a larger budget must stop there

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +150,21 @@ class TestConstrainedTeleportation:
         result = constrained_teleport_fidelity(2, 3)
         assert result.transmission_fidelity_f == pytest.approx((2 * 0.75 + 1) / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2"])
+    def test_rejects_a_message_count_that_is_not_an_integer(self, k):
+        # a float k once reached the overlap matrix as a tuple index and raised a TypeError there
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            constrained_teleport_fidelity(2, k)
+
+    def test_numpy_integer_message_count_passes(self):
+        result = constrained_teleport_fidelity(3, np.int64(5))
+        assert type(result.details["k"]) is int
+        assert result == constrained_teleport_fidelity(3, 5)
+
+    def test_range_message_is_unchanged(self):
+        with pytest.raises(ValueError, match=r"^k must lie in 1\.\.d\^2, got k=5 for d=2$"):
+            constrained_teleport_fidelity(2, 5)
+
 
 @pytest.fixture
 def fresh_frames():
@@ -255,23 +269,15 @@ for d in range(2, 9):
 """
 
 
-def test_bytes_do_not_depend_on_blas_kernel_or_simd_dispatch(child_env):
+def test_bytes_do_not_depend_on_blas_kernel_or_simd_dispatch(child_env, openblas_kernels):
     # the frame takes real products and fixed-axis sums only, so neither OpenBLAS's kernel nor
     # numpy's dispatched SIMD loops (which fuse a complex product into an FMA) may move a bit
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy < 1.25 only prints its build configuration
-        blas = {}
     settings = [{}, {"NPY_DISABLE_CPU_FEATURES": " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))}]
-    if "DYNAMIC_ARCH" in blas.get("openblas configuration", ""):
-        settings += [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Sandybridge", "Prescott")]
-    else:
-        warnings.warn(f"{blas.get('name')} is not a DYNAMIC_ARCH OpenBLAS: only one BLAS kernel was compared")
+    settings += openblas_kernels
     argv = [sys.executable, "-c", _TELEPORT_BYTES, str(Path(__file__).parent / "golden_teleport.json")]
     outputs = {}
     for extra in settings:
@@ -310,8 +316,13 @@ class TestSplitStrategy:
         assert abs(result.entanglement_fidelity_F - 0.5) < 1e-10
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k' must lie in 0\.\.d\^2, got 5$"):
             nsqrac_split_strategy(2, 5)
+
+    @pytest.mark.parametrize("k_prime", [2.0, 2.5])
+    def test_rejects_a_split_that_is_not_an_integer(self, k_prime):
+        with pytest.raises(ValueError, match=f"^k' must be an integer, got {k_prime!r}$"):
+            nsqrac_split_strategy(2, k_prime)
 
 
 class TestFavoredStrategy:
