@@ -17,11 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .qcore import NORM_TOL, PSD_TOL, F_from_f, check_dimension, check_integer, check_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_SUM_TOL = 1e-12
 KAY_SCAN_HEAD = 8  # leading residuals that kay_feasibility_scan reports
@@ -80,6 +81,7 @@ def kay_constraint_residual(F_values: Sequence[float] | np.ndarray, d: int) -> f
     """Slack of the entanglement-fidelity constraint
     sum F_i <= (d-1)/d + (sum sqrt(F_i))^2 / (N + d - 1); >= 0 means feasible.
     The F_i run along the last axis, so a stack gives one slack per row."""
+    import numpy as np
     check_dimension(d)
     fs = np.asarray(F_values, dtype=float)
     if not np.all((fs >= 0) & (fs <= 1 + 1e-12)):  # NaN fails both comparisons
@@ -162,6 +164,7 @@ def kay_feasibility_scan(n_states: int, seed: int) -> MonogamyScan:
     has the same eigenvalues: one stacked eigvalsh gives the fraction as half
     the top one and the positivity check as the lowest.  The Gram trace is
     2 |psi|^2, which the norm check bounds, so no trace check is needed."""
+    import numpy as np
     n_states = check_integer(n_states, "n_states")
     if n_states < 1:
         raise ValueError("need at least one state")

@@ -15,16 +15,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from . import bounds, qcore  # codes, qracse and teleport load numpy: the commands that use them import them
 
-from . import bounds, codes, qcore, qracse, teleport
+if TYPE_CHECKING:
+    from . import codes
 
 OUTPUT_DIR_ENV = "QRACSIM_OUTPUT_DIR"
 DEFAULT_TRUTH_TABLE = "00010111"  # majority of three, for --variant f
@@ -109,6 +111,7 @@ def _emit(args, out: Output) -> int:
 
 
 def cmd_teleport(args) -> Output:
+    from . import teleport
     result = teleport.constrained_teleport_fidelity(args.d, args.k)
     assert result.exact is not None
     row = [args.d, args.k, result.entanglement_fidelity_F, float(result.exact), result.transmission_fidelity_f]
@@ -125,6 +128,7 @@ def cmd_teleport(args) -> Output:
 
 
 def _resolve_table(args, search: dict) -> codes.EncodingTable:
+    from . import codes
     if args.table == "builtin":
         return codes.builtin_table(args.d)
     if args.table == "generated":
@@ -133,6 +137,7 @@ def _resolve_table(args, search: dict) -> codes.EncodingTable:
 
 
 def cmd_qracse(args) -> Output:
+    from . import qracse
     variant = {
         "two-strings": "two_strings",
         "pairs": "four_dits_pairs",
@@ -212,6 +217,7 @@ def _check_true(name: str, ok: bool, kind: str = HARD, **extra) -> dict:
 
 def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
     """Compute every reproduction group, write artifacts, return all checks."""
+    from . import codes, qracse, teleport
     out_dir.mkdir(parents=True, exist_ok=True)
     checks: list[dict] = []
     artifacts: dict[str, str] = {}
@@ -249,7 +255,7 @@ def run_reproduction(seed: int, out_dir: Path) -> tuple[list[dict], dict]:
         checks.append(_check(f"two_strings_p_avg(d={d})", report.p_avg, ref["p_avg"], 1e-3, kind))
         checks.append(_check(f"trivial_p_min(d={d})", trivial.p_min, ref["trivial_min"], 1e-3))
         checks.append(_check(f"trivial_p_avg(d={d})", trivial.p_avg, ref["trivial_avg"], 1e-3))
-    exact_d2 = (3 + 2 * np.sqrt(2)) / 8
+    exact_d2 = (3 + 2 * math.sqrt(2)) / 8
     checks.append(_check("two_strings_d2_closed_form", qreports[2].p_avg, exact_d2, 1e-9))
     for d, ref in PER_CHOICE_REFERENCE.items():
         pc = [qreports[d].per_choice["0"], qreports[d].per_choice["1"]]
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--d", type=int, required=True)
     p_s.add_argument("--N", type=int, required=True)
     add_common(p_s, cmd_bounds)
-    p_a = sub_b.add_parser("asym", help="asymmetric bound by an exact eigenproblem")
+    p_a = sub_b.add_parser("asym", help="asymmetric bound by a secular-equation root")
     p_a.add_argument("--d", type=int, required=True)
     p_a.add_argument("--p", type=float, nargs="+", required=True)
     add_common(p_a, cmd_bounds)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -46,6 +48,7 @@ def check_dimension(d) -> int:
 def bell_state(d: int) -> np.ndarray:
     """Amplitudes of the maximally entangled state (1/sqrt(d)) sum_i |ii> on a
     d x d system, as a read-only complex vector."""
+    import numpy as np
     check_dimension(d)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)

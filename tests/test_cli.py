@@ -128,6 +128,53 @@ def test_cli_output_matches_golden(capsys, case):
     assert out == case["stdout"]
 
 
+# runs cli.main on each argv of argv[1] in one fresh interpreter; prints, as JSON, each
+# (exit code, stdout, stderr) and whether numpy was imported by the end
+_CHILD_CLI = """
+import contextlib, io, json, sys
+from qracsim.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"results": results, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _run_cli_in_child(child_env, argvs: list[list[str]]) -> dict:
+    run = subprocess.run(
+        [sys.executable, "-c", _CHILD_CLI, json.dumps(argvs)], env=child_env, check=True, capture_output=True, text=True
+    )
+    return json.loads(run.stdout)
+
+
+class TestImportBoundary:
+    """The bounds are scalar arithmetic: the CLI imports numpy only when a command computes with arrays."""
+
+    def test_bounds_help_and_input_errors_run_without_numpy(self, child_env):
+        cases = [case for case in GOLDEN_CLI if case["argv"][0] == "bounds"]
+        assert {case["argv"][1] for case in cases} == {"asym", "symmetric", "werner"}
+        error_argv = ["bounds", "symmetric", "--d", "1", "--N", "2"]
+        child = _run_cli_in_child(child_env, [case["argv"] for case in cases] + [error_argv, ["bounds", "--help"]])
+        *golden, error, help_ = child["results"]
+        assert golden == [[0, case["stdout"], ""] for case in cases]
+        assert error == [2, "", "error: dimension must be at least 2, got 1\n"]
+        assert help_[0] == 0 and "asymmetric bound by a secular-equation root" in help_[1]
+        assert child["numpy"] is False
+
+    def test_teleport_imports_its_module_when_it_runs(self, child_env):
+        cases = [case for case in GOLDEN_CLI if case["argv"][:5] == ["teleport", "--d", "2", "--k", "3"]]
+        assert len(cases) == 3
+        child = _run_cli_in_child(child_env, [case["argv"] for case in cases])
+        assert child["results"] == [[0, case["stdout"], ""] for case in cases]
+        assert child["numpy"] is True
+
+
 class TestReproduceAll:
     def test_no_hard_failures(self, reproduction):
         _, checks, summary = reproduction

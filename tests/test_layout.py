@@ -15,7 +15,10 @@ in ``src/`` mentions ``numpy.random``: importing it costs about 5 MiB and
 that checks nothing is a ``NamedTuple``.  Every field of a record is read as
 an attribute in ``src/`` or ``perfbench/``: a field that only the tests or
 the record's own check read is left out, and a value that follows from the
-other fields is a property.
+other fields is a property.  Only the array modules (``codes``, ``qracse``
+and ``teleport``) import numpy when they are imported, and neither
+``__init__`` nor ``cli`` imports them at module level, so ``import
+qracsim.cli`` and the scalar bound commands never load numpy.
 """
 
 import ast
@@ -169,3 +172,31 @@ def test_every_record_field_has_a_program_reader():
     assert UNREAD_FIELDS <= {label for label, _, _ in definitions}
     unread = [label for label in _unreferenced(trees, definitions, (ast.Attribute,)) if label not in UNREAD_FIELDS]
     assert unread == [], f"record fields with no reader in {', '.join(PROGRAM_DIRS)}: {unread}"
+
+
+ARRAY_MODULES = {"codes", "qracse", "teleport"}
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    """Top-level package names and sibling submodules that importing the module
+    imports: ``numpy`` for ``import numpy as np``, ``qcore`` for ``from .qcore
+    import ...`` and ``codes`` for ``from . import codes``.  An import inside a
+    function runs at the first call, and one under ``if TYPE_CHECKING:`` never
+    runs; neither is a top-level node."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_numpy_loads_with_the_array_modules_only():
+    imports = {path.stem: _module_level_imports(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")}
+    eager_numpy = sorted(name for name, names in imports.items() if "numpy" in names and name not in ARRAY_MODULES)
+    assert eager_numpy == [], f"numpy imported at module level, import it in the function: {eager_numpy}"
+    eager = {name: sorted(imports[name] & ARRAY_MODULES) for name in ("__init__", "cli")}
+    assert eager == {"__init__": [], "cli": []}, f"array modules imported at module level: {eager}"
